@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import orth
 
 from alphasign.basis import SplineConfig, build_design, fit_panel
+from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
 from alphasign.spatial import MomentEstimates, SpatialLocation
 from alphasign.stat_tests import (
@@ -330,6 +331,52 @@ def test_run_all_tests_auto_knots_and_stage_errors(small_sim):
         run_all_tests(np.zeros_like(small_sim.panel), small_sim.factors, knots=2)
     with pytest.raises(ContractError):
         run_all_tests(small_sim.panel[:100], small_sim.factors, knots=2)
+
+
+# P-values and projection bias pinned before the fit and the bias were
+# rewritten on the design's stored orthonormal bases (example 2, t errors,
+# N=40, T=160, seed 20261018; "auto" picks 7 interior knots). A refactor
+# of the fit or the statistics must reproduce them to 1e-12.
+GOLDEN_P_VALUES = {
+    2: {
+        "HDA": 0.6627506379051729,
+        "MNT": 0.40960275008780855,
+        "Ada": 0.5425855826201889,
+        "CSS": 0.5587174498686501,
+        "CSM": 0.21227804194642164,
+        "CC": 0.3198779148009022,
+    },
+    "auto": {
+        "HDA": 0.6198422010397171,
+        "MNT": 0.5806650611658167,
+        "Ada": 0.6006473667832442,
+        "CSS": 0.5398059152415255,
+        "CSM": 0.28013570273283894,
+        "CC": 0.3752545280891537,
+    },
+}
+GOLDEN_BIAS_KNOTS_2 = 0.16707421211090792
+
+
+@pytest.fixture(scope="module")
+def golden_sim():
+    rng = np.random.default_rng(20261018)
+    return simulate_panel(
+        2, ErrorScenario("t"), AlphaSpec(sparsity=3, strength=2.0), 40, 160, rng
+    )
+
+
+@pytest.mark.parametrize("knots", [2, "auto"])
+def test_golden_p_values(golden_sim, knots):
+    results = run_all_tests(golden_sim.panel, golden_sim.factors, knots=knots)
+    got = {r.name: r.p_value for r in results}
+    for name, expected in GOLDEN_P_VALUES[knots].items():
+        assert got[name] == pytest.approx(expected, abs=1e-12), name
+
+
+def test_golden_projection_bias(golden_sim):
+    design = build_design(golden_sim.factors, SplineConfig(2, 3))
+    assert projection_sign_bias(design) == pytest.approx(GOLDEN_BIAS_KNOTS_2, abs=1e-12)
 
 
 def test_result_csv_row_formatting():
