@@ -9,6 +9,9 @@ the fitted span, so it survives in the residuals; the test statistics
 downstream probe exactly that surviving component. A twin design with the
 *uncentered* intercept block absorbs the averaged intercept instead and
 supplies the residuals used by variance/trace estimators.
+
+Each design is factorized once, when built, and keeps orthonormal bases
+of both twins' column spans, so a fit is two projections.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ def _name_singular_block(
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Sieve design pair for one panel length.
+    """Sieve design pair for one panel length, factorized once. Its arrays
+    are read-only, so the stored bases cannot go stale.
 
     Attributes
     ----------
@@ -166,6 +170,10 @@ class DesignMatrix:
         1' M 1 where M is the annihilator of Z; equals the squared norm of h.
     h : (T,) array
         Annihilated ones vector M 1. Under a fully centered design h = 1.
+    Q, Q_tilde : (T, (1+p)L - 1) and (T, (1+p)L) arrays
+        Orthonormal bases of the column spans of Z (at its rank) and Z_tilde.
+    rcond, rcond_tilde : float
+        Reciprocal condition numbers of Z (less its built-in null) and Z_tilde.
     """
 
     Z: np.ndarray
@@ -174,7 +182,14 @@ class DesignMatrix:
     h: np.ndarray
     config: SplineConfig
     n_factors: int
-    _q: np.ndarray = field(repr=False, default=None)
+    Q: np.ndarray = field(repr=False)
+    Q_tilde: np.ndarray = field(repr=False)
+    rcond: float
+    rcond_tilde: float
+
+    def __post_init__(self):
+        for arr in (self.Z, self.Z_tilde, self.h, self.Q, self.Q_tilde):
+            arr.flags.writeable = False
 
     @property
     def n_obs(self) -> int:
@@ -187,18 +202,15 @@ class DesignMatrix:
     def annihilate(self, v: np.ndarray) -> np.ndarray:
         """Project v onto the orthogonal complement of the column span of Z.
 
-        Uses an orthonormal basis of the span truncated to the effective
-        rank, so the built-in dependency of the centered block contributes
-        no spurious direction.
+        Uses the rank-truncated basis Q, so the built-in dependency of the
+        centered block contributes no spurious direction.
         """
         v = np.asarray(v, dtype=float)
-        return v - self._q @ (self._q.T @ v)
+        return v - self.Q @ (self.Q.T @ v)
 
 
-def build_design(
-    factors, config: SplineConfig, h_from: str = "centered"
-) -> DesignMatrix:
-    """Assemble the centered/uncentered design pair for a factor matrix.
+def build_design(factors, config: SplineConfig) -> DesignMatrix:
+    """Assemble and factorize the centered/uncentered design pair.
 
     Parameters
     ----------
@@ -206,14 +218,7 @@ def build_design(
         Factor realizations; p = 0 (shape (T, 0)) yields an intercept-only
         design.
     config : SplineConfig
-    h_from : {"centered", "uncentered"}
-        Which design's annihilator produces h and omega_T. The uncentered
-        variant is exposed for diagnostics only: the ones vector lies in
-        the span of the uncentered intercept block, so h degenerates to
-        (numerical) zero there.
     """
-    if h_from not in ("centered", "uncentered"):
-        raise ContractError(f"h_from must be 'centered' or 'uncentered', got {h_from!r}")
     f = _as_factor_matrix(factors)
     T, p = f.shape
     L = config.basis_dim
@@ -232,25 +237,23 @@ def build_design(
     # Rank contract: Z carries exactly one built-in dependency (see class
     # docstring), Z_tilde none. Anything worse is a genuine singularity.
     u_left, s, _ = np.linalg.svd(Z, full_matrices=False)
-    if _effective_rcond(s, structural_nullity=1) <= RCOND_MIN:
+    rcond = _effective_rcond(s, structural_nullity=1)
+    if rcond <= RCOND_MIN:
         raise SingularDesignError(
             "design matrix is rank deficient beyond the built-in dependency "
             "of the centered intercept block (first failing prefix: "
             f"{_name_singular_block(blocks, p, first_block_nullity=1)})"
         )
-    s_tilde = np.linalg.svd(Z_tilde, compute_uv=False)
-    if _effective_rcond(s_tilde) <= RCOND_MIN:
+    u_tilde, s_tilde, _ = np.linalg.svd(Z_tilde, full_matrices=False)
+    rcond_tilde = _effective_rcond(s_tilde)
+    if rcond_tilde <= RCOND_MIN:
         raise SingularDesignError(
             "uncentered design matrix is rank deficient (first failing "
             f"prefix: {_name_singular_block([B] + blocks[1:], p)})"
         )
     q = u_left[:, : K - 1]
     ones = np.ones(T)
-    if h_from == "centered":
-        h = ones - q @ (q.T @ ones)
-    else:
-        q2, _ = np.linalg.qr(Z_tilde)
-        h = ones - q2 @ (q2.T @ ones)
+    h = ones - q @ (q.T @ ones)
     omega = float(np.clip(h @ h, 0.0, float(T)))
     return DesignMatrix(
         Z=Z,
@@ -259,22 +262,23 @@ def build_design(
         h=h,
         config=config,
         n_factors=p,
-        _q=q,
+        Q=q,
+        Q_tilde=u_tilde,
+        rcond=rcond,
+        rcond_tilde=rcond_tilde,
     )
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Per-asset least-squares output.
+    """Per-asset least-squares residuals (T x N).
 
-    coefficients has one row per asset (N x (1+p)L, centered design) and is
-    the minimum-norm least-squares solution: the centered design's built-in
-    dependency leaves individual coefficients identified only up to one null
-    direction, while fitted values and residuals are unique. residuals come
-    from the centered design, residuals_tilde from the uncentered twin.
+    residuals come from the centered design, residuals_tilde from the
+    uncentered twin. Residuals are unique even though the centered
+    design's built-in dependency leaves its coefficients identified only
+    up to one null direction.
     """
 
-    coefficients: np.ndarray
     residuals: np.ndarray
     residuals_tilde: np.ndarray
 
@@ -284,7 +288,7 @@ def fit_panel(panel, design: DesignMatrix) -> FitResult:
 
     No intercept is added: the centered design leaves each asset's
     time-averaged intercept in `residuals`, while `residuals_tilde`
-    absorbs it.
+    absorbs it. Each residual is Y - Q (Q' Y) with the design's stored bases.
     """
     Y = np.asarray(panel, dtype=float)
     if Y.ndim == 1:
@@ -297,19 +301,11 @@ def fit_panel(panel, design: DesignMatrix) -> FitResult:
         )
     if not np.all(np.isfinite(Y)):
         raise ContractError("panel contains non-finite values")
-    s = np.linalg.svd(design.Z, compute_uv=False)
-    s_tilde = np.linalg.svd(design.Z_tilde, compute_uv=False)
-    if (
-        _effective_rcond(s, structural_nullity=1) <= RCOND_MIN
-        or _effective_rcond(s_tilde) <= RCOND_MIN
-    ):
+    if design.rcond <= RCOND_MIN or design.rcond_tilde <= RCOND_MIN:
         raise SingularDesignError("design is too ill conditioned to fit")
-    coef, *_ = np.linalg.lstsq(design.Z, Y, rcond=RCOND_MIN)
-    resid = Y - design.Z @ coef
-    coef_t, *_ = np.linalg.lstsq(design.Z_tilde, Y, rcond=RCOND_MIN)
-    resid_t = Y - design.Z_tilde @ coef_t
     return FitResult(
-        coefficients=coef.T, residuals=resid, residuals_tilde=resid_t
+        residuals=design.annihilate(Y),
+        residuals_tilde=Y - design.Q_tilde @ (design.Q_tilde.T @ Y),
     )
 
 
@@ -341,6 +337,29 @@ def default_knot_candidates(T: int) -> range:
     return range(1, math.ceil(T ** 0.2) + 5)
 
 
+def _score_knot_candidates(panel, factors, candidates, order: int):
+    """Score each candidate knot count and pick the winner.
+
+    Returns ({n: score, or None when the candidate is unusable}, best n).
+    Candidates that violate fit preconditions or produce singular designs
+    are unusable; ties break toward the smaller knot count. Raises if
+    every candidate is unusable.
+    """
+    scores, failures = {}, []
+    for n in candidates:
+        try:
+            scores[n] = bic_score(panel, factors, SplineConfig(n, order))
+        except (SingularDesignError, ContractError) as exc:
+            scores[n] = None
+            failures.append(f"n={n}: {exc}")
+    usable = {n: s for n, s in scores.items() if s is not None}
+    if not usable:
+        raise SingularDesignError(
+            "no knot candidate produced a usable design: " + "; ".join(failures)
+        )
+    return scores, min(sorted(usable), key=usable.__getitem__)
+
+
 def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
     """Pick the interior-knot count minimizing the information criterion.
 
@@ -353,18 +372,4 @@ def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
     cand = sorted(set(int(c) for c in candidates))
     if not cand:
         raise ContractError("candidate set for knot selection is empty")
-    best_n, best_score = None, math.inf
-    failures = []
-    for n in cand:
-        try:
-            score = bic_score(panel, factors, SplineConfig(n, order))
-        except (SingularDesignError, ContractError) as exc:
-            failures.append(f"n={n}: {exc}")
-            continue
-        if score < best_score:
-            best_n, best_score = n, score
-    if best_n is None:
-        raise SingularDesignError(
-            "no knot candidate produced a usable design: " + "; ".join(failures)
-        )
-    return best_n
+    return _score_knot_candidates(panel, factors, cand, order)[1]

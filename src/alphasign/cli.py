@@ -316,18 +316,9 @@ def _cmd_knots(args) -> int:
         candidates = [int(x) for x in args.candidates.split(",") if x.strip()]
     else:
         candidates = list(basis.default_knot_candidates(T))
-    scores = {}
-    for n in candidates:
-        try:
-            scores[n] = basis.bic_score(
-                panel.values, factors.values, basis.SplineConfig(n, args.order)
-            )
-        except (SingularDesignError, ContractError):
-            scores[n] = None
-    usable = {n: s for n, s in scores.items() if s is not None}
-    if not usable:
-        raise SingularDesignError("no knot candidate produced a usable design")
-    best = min(sorted(usable), key=lambda n: usable[n])
+    scores, best = basis._score_knot_candidates(
+        panel.values, factors.values, candidates, args.order
+    )
     out = _out_stream(args.out)
     fh = open(out, "w", newline="") if isinstance(out, str) else out
     try:

@@ -187,25 +187,28 @@ def projection_sign_bias(design: DesignMatrix) -> float:
 
     Residual rows are projections of the underlying errors, so sign vectors
     at distinct times have expected inner product approximately
-    M_t1t2 / sqrt(M_t1t1 M_t2t2), where M is the design's annihilator. The
-    h-weighted sum of those expectations over distinct pairs, divided by
-    h'h, is a pure design constant (no data enters) and is subtracted from
-    the sum-type numerator so the statistic is centered under the null.
+    M_t1t2 / sqrt(M_t1t1 M_t2t2), where M = I - QQ' is the design's
+    annihilator. The h-weighted sum of those expectations over distinct
+    pairs, divided by h'h, is a pure design constant (no data enters) and
+    is subtracted from the sum-type numerator so the statistic is centered
+    under the null.
+
+    With d = diag(M) and g = h / sqrt(d), the all-pairs sum is
+    g'Mg = g'g - ||Q'g||^2 and its diagonal is h'h; no T x T matrix is formed.
     """
-    T = design.n_obs
-    q = design._q
-    M = np.eye(T) - q @ q.T
-    d = np.diag(M).copy()
+    q = design.Q
+    d = 1.0 - np.einsum("tk,tk->t", q, q)
     if np.any(d <= 1e-12):
         bad = int(np.argmin(d))
         raise DegenerateStatisticError(
             f"design leverage is 1 at time {bad + 1}: the residual there "
             "is identically zero"
         )
-    R = M / np.sqrt(np.outer(d, d))
-    np.fill_diagonal(R, 0.0)
     hv = design.h
-    return float(hv @ (R @ hv)) / float(hv @ hv)
+    hh = float(hv @ hv)
+    g = hv / np.sqrt(d)
+    qg = q.T @ g
+    return (float(g @ g) - float(qg @ qg) - hh) / hh
 
 
 def css_test(residuals, residuals_tilde, h, design: DesignMatrix | None = None) -> TestResult:
@@ -376,7 +379,6 @@ def run_all_tests(
     knots: int | str = "auto",
     order: int = 3,
     knot_candidates=None,
-    h_from: str = "centered",
     p_effective: int | None = None,
     tol: float = 1e-8,
     max_iter: int = 200,
@@ -416,7 +418,7 @@ def run_all_tests(
     else:
         n_knots = int(knots)
     config = SplineConfig(n_knots, order)
-    design = _stage("design", lambda: build_design(F, config, h_from=h_from))
+    design = _stage("design", lambda: build_design(F, config))
     fit = _stage("fit", lambda: fit_panel(Y, design))
     loc = _stage(
         "spatial-median",

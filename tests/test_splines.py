@@ -114,12 +114,19 @@ def test_design_layout_and_h_invariants(small_design):
     assert np.max(np.abs(design.annihilate(design.h) - design.h)) <= 1e-8
 
 
-def test_h_from_uncentered_design_degenerates(small_sim):
-    # the ones vector lies in the uncentered intercept span, so h collapses
-    design = build_design(small_sim.factors, SplineConfig(2, 3), h_from="uncentered")
-    assert design.omega_T <= 1e-8 * design.n_obs
-    with pytest.raises(ContractError):
-        build_design(small_sim.factors, SplineConfig(2, 3), h_from="bogus")
+def test_design_arrays_are_read_only(small_design):
+    # the stored bases were computed from Z and Z_tilde; neither may change
+    with pytest.raises(ValueError):
+        small_design.Z[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        small_design.Z_tilde[0, 0] = 1.0
+    # the bases are orthonormal and span the twins' columns
+    K = small_design.n_columns
+    for Q, Z, rank in ((small_design.Q, small_design.Z, K - 1),
+                       (small_design.Q_tilde, small_design.Z_tilde, K)):
+        assert Q.shape == (small_design.n_obs, rank)
+        assert np.max(np.abs(Q.T @ Q - np.eye(rank))) <= 1e-12
+        assert np.max(np.abs(Z - Q @ (Q.T @ Z))) <= 1e-10 * np.max(np.abs(Z))
 
 
 def test_design_needs_enough_observations():
@@ -165,7 +172,6 @@ def test_fit_residuals_orthogonal_to_design(small_design, small_fit):
     scale = np.max(np.abs(small_fit.residuals))
     assert np.max(np.abs(small_design.Z.T @ small_fit.residuals)) <= 1e-8 * scale * small_design.n_obs
     assert np.max(np.abs(small_design.Z_tilde.T @ small_fit.residuals_tilde)) <= 1e-8 * scale * small_design.n_obs
-    assert small_fit.coefficients.shape == (25, small_design.n_columns)
 
 
 def test_fit_input_guards(small_design):

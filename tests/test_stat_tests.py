@@ -177,6 +177,19 @@ def test_css_design_corrections_match_manual_recomputation(small_sim, small_desi
     assert bare.statistic != pytest.approx(result.statistic, abs=1e-6)
 
 
+def test_css_bias_rejects_unit_leverage():
+    # a unit-spike factor puts all of time 5 into the design span
+    T = 40
+    spike = np.zeros((T, 1))
+    spike[4, 0] = 1.0
+    design = build_design(spike, SplineConfig(0, 1))
+    with pytest.raises(DegenerateStatisticError, match="leverage is 1 at time 5"):
+        projection_sign_bias(design)
+    Y = np.random.default_rng(5).standard_normal((T, 6))
+    with pytest.raises(DegenerateStatisticError, match="^CSS: .*leverage is 1 at time 5"):
+        run_all_tests(Y, spike, knots=0, order=1)
+
+
 def test_hda_j_stat_values():
     assert hda_j_stat(np.ones(4)) == pytest.approx(4.0, abs=1e-14)
     assert hda_j_stat(np.ones((2, 2))) == pytest.approx(2.0, abs=1e-14)
