@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import ContractError, SingularDesignError
 
 # Reciprocal condition number below which a design is treated as singular.
@@ -206,7 +207,7 @@ class DesignMatrix:
         centered block contributes no spurious direction.
         """
         v = np.asarray(v, dtype=float)
-        return v - self.Q @ (self.Q.T @ v)
+        return _residual(v, self.Q)
 
 
 def build_design(factors, config: SplineConfig) -> DesignMatrix:
@@ -304,9 +305,16 @@ def fit_panel(panel, design: DesignMatrix) -> FitResult:
     if design.rcond <= RCOND_MIN or design.rcond_tilde <= RCOND_MIN:
         raise SingularDesignError("design is too ill conditioned to fit")
     return FitResult(
-        residuals=design.annihilate(Y),
-        residuals_tilde=Y - design.Q_tilde @ (design.Q_tilde.T @ Y),
+        residuals=_residual(Y, design.Q),
+        residuals_tilde=_residual(Y, design.Q_tilde),
     )
+
+
+def _residual(v, q):
+    """v - q (q' v) for orthonormal q, written over the fitted values so
+    that a fit allocates one T x N array per residual."""
+    out = q @ (q.T @ v)
+    return np.subtract(v, out, out=out)
 
 
 def bic_penalty(N: int, T: int, n_factors: int, config: SplineConfig) -> float:
@@ -324,7 +332,8 @@ def bic_score(panel, factors, config: SplineConfig) -> float:
     """
     Y = np.asarray(panel, dtype=float)
     fit = fit_panel(Y, build_design(factors, config))
-    rss_mean = float(np.mean(fit.residuals_tilde**2))
+    # The fit is private to this call, so its residuals are squared in place.
+    rss_mean = float(np.square(fit.residuals_tilde, out=fit.residuals_tilde).mean())
     if rss_mean <= 0.0:
         # exact interpolation: push the criterion to -inf so it wins
         return -math.inf
@@ -337,13 +346,14 @@ def default_knot_candidates(T: int) -> range:
     return range(1, math.ceil(T ** 0.2) + 5)
 
 
+@one_blas_thread()
 def _score_knot_candidates(panel, factors, candidates, order: int):
     """Score each candidate knot count and pick the winner.
 
     Returns ({n: score, or None when the candidate is unusable}, best n).
     Candidates that violate fit preconditions or produce singular designs
     are unusable; ties break toward the smaller knot count. Raises if
-    every candidate is unusable.
+    every candidate is unusable. OpenBLAS runs at one thread for the call.
     """
     scores, failures = {}, []
     for n in candidates:

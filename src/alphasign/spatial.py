@@ -34,9 +34,22 @@ def spatial_sign(v) -> np.ndarray:
 
 def _row_signs(rows: np.ndarray) -> np.ndarray:
     """Spatial signs of each row of a matrix; zero rows stay zero."""
-    norms = np.linalg.norm(rows, axis=1)
-    out = np.zeros_like(rows)
+    out = np.empty_like(rows)
+    return _divide_rows(rows, _row_norms(rows, out), out)
+
+
+def _row_norms(rows: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as np.linalg.norm(rows, axis=1) gives
+    it, with `work` (same shape) as the only T x N temporary."""
+    return np.sqrt(np.multiply(rows, rows, out=work).sum(axis=1))
+
+
+def _divide_rows(rows: np.ndarray, norms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows / norms row by row, written to `out`; zero-norm rows become zero."""
     nz = norms > 0.0
+    if nz.all():
+        return np.divide(rows, norms[:, None], out=out)
+    out.fill(0.0)
     out[nz] = rows[nz] / norms[nz, None]
     return out
 
@@ -93,6 +106,10 @@ def spatial_median_scale(
         raise ContractError("residuals contain non-finite values")
     theta = E.mean(axis=0)
     scale = E.var(axis=0, ddof=1)
+    # Every round reuses two T x N buffers: X holds the standardized rows
+    # and then the squared signs, U the signs.
+    X = np.empty_like(E)
+    U = np.empty_like(E)
     iterations = 0
     while True:
         if np.any(scale < SCALE_FLOOR):
@@ -102,15 +119,15 @@ def spatial_median_scale(
                 "residual column is (near) constant"
             )
         root = np.sqrt(scale)
-        X = (E - theta) / root
-        norms = np.linalg.norm(X, axis=1)
+        np.divide(np.subtract(E, theta, out=X), root, out=X)
+        norms = _row_norms(X, U)
         nz = norms > 0.0
         if not np.any(nz):
             raise DegenerateScaleError("all standardized residual rows are zero")
-        U = np.zeros_like(X)
-        U[nz] = X[nz] / norms[nz, None]
-        mean_u = U[nz].mean(axis=0)
-        mean_u2 = (U[nz] * U[nz]).mean(axis=0)
+        _divide_rows(X, norms, U)
+        U_nz = U if nz.all() else U[nz]
+        mean_u = U_nz.mean(axis=0)
+        mean_u2 = np.multiply(U_nz, U_nz, out=X[: len(U_nz)]).mean(axis=0)
         eq_residual = max(
             float(np.linalg.norm(mean_u)),
             float(N * np.max(np.abs(mean_u2 - 1.0 / N))),
@@ -150,8 +167,9 @@ def moment_estimates(
     if E.ndim != 2:
         raise ContractError(f"residuals must be T x N, got ndim={E.ndim}")
     T, N = E.shape
-    X = (E - loc.theta) / np.sqrt(loc.scale_diag)
-    norms = np.linalg.norm(X, axis=1)
+    X = np.subtract(E, loc.theta)
+    X /= np.sqrt(loc.scale_diag)
+    norms = _row_norms(X, X)
     if np.any(norms == 0.0):
         raise DegenerateStatisticError(
             "a standardized residual cross section is exactly zero"

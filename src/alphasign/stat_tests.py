@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DesignMatrix, SplineConfig, build_design, fit_panel, select_knots_bic
+from .blas import one_blas_thread
 from .errors import AlphaSignError, ContractError, DegenerateStatisticError
 from .spatial import MomentEstimates, SpatialLocation, _row_signs, moment_estimates, spatial_median_scale
 
@@ -175,7 +176,7 @@ def trace_sigma_u_sq(residuals_tilde, h) -> float:
         )
     S = _row_signs(E)
     G = S @ S.T
-    W = G * G
+    W = np.multiply(G, G, out=G)
     h2 = hv * hv
     total = float(h2 @ W @ h2)
     diag_part = float(np.sum(h2 * h2 * np.diag(W)))
@@ -373,6 +374,7 @@ def cauchy_combine(p_values, truncated: bool) -> float:
     return 0.5 - math.atan(stat) / math.pi
 
 
+@one_blas_thread()
 def run_all_tests(
     panel,
     factors,
@@ -389,7 +391,8 @@ def run_all_tests(
     once on the centered-design residuals, and every statistic reuses
     those shared pieces. knots is either a fixed interior-knot count or
     "auto" for information-criterion selection. Errors from any stage are
-    re-raised with the stage name prefixed.
+    re-raised with the stage name prefixed. OpenBLAS runs at one thread
+    for the call (see `alphasign.blas`).
     """
     Y = np.asarray(panel, dtype=float)
     F = np.asarray(factors, dtype=float)

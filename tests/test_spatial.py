@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
 from alphasign.spatial import (
     SpatialLocation,
+    _row_signs,
     moment_estimates,
     spatial_median_scale,
     spatial_sign,
@@ -59,6 +60,51 @@ def test_estimating_equations_hold_at_convergence(small_fit):
     assert float(np.linalg.norm(U.mean(axis=0))) <= 1e-8
     assert float(N * np.max(np.abs((U * U).mean(axis=0) - 1.0 / N))) <= 1e-8
     assert loc.eq_residual <= 1e-8
+
+
+def _reference_spatial_median(E, tol=1e-8, max_iter=200):
+    """The iteration written with a fresh array per step, as the reference
+    for the buffered version (same arithmetic, so results match exactly)."""
+    T, N = E.shape
+    theta, scale = E.mean(axis=0), E.var(axis=0, ddof=1)
+    iterations = 0
+    while True:
+        root = np.sqrt(scale)
+        X = (E - theta) / root
+        norms = np.linalg.norm(X, axis=1)
+        nz = norms > 0.0
+        U = np.zeros_like(X)
+        U[nz] = X[nz] / norms[nz, None]
+        mean_u = U[nz].mean(axis=0)
+        mean_u2 = (U[nz] * U[nz]).mean(axis=0)
+        eq = max(float(np.linalg.norm(mean_u)), float(N * np.max(np.abs(mean_u2 - 1.0 / N))))
+        if eq <= tol or iterations >= max_iter:
+            return theta, scale, iterations, eq
+        theta = theta + root * U.sum(axis=0) / float(np.sum(1.0 / norms[nz]))
+        scale = N * scale * mean_u2
+        iterations += 1
+
+
+def test_buffered_iteration_matches_reference_exactly(small_fit):
+    # odd T with one column puts the location on an observation, so rows
+    # with zero norm drop out along the way
+    x = np.random.default_rng(4).standard_normal((21, 1))
+    for E in (small_fit.residuals, x, small_fit.residuals[:, :3] ** 3):
+        loc = spatial_median_scale(E)
+        theta, scale, iterations, eq = _reference_spatial_median(E)
+        assert np.array_equal(loc.theta, theta) and np.array_equal(loc.scale_diag, scale)
+        assert (loc.iterations, loc.eq_residual) == (iterations, eq)
+
+
+def test_row_signs_match_reference_exactly(small_fit):
+    rows = small_fit.residuals.copy()
+    rows[[2, 7]] = 0.0
+    norms = np.linalg.norm(rows, axis=1)
+    expected = np.zeros_like(rows)
+    expected[norms > 0] = rows[norms > 0] / norms[norms > 0, None]
+    assert np.array_equal(_row_signs(rows), expected)
+    assert np.array_equal(_row_signs(small_fit.residuals),
+                          small_fit.residuals / np.linalg.norm(small_fit.residuals, axis=1)[:, None])
 
 
 def test_location_scale_equivariance(small_fit):
