@@ -7,6 +7,8 @@ import pytest
 
 from alphasign.dgp import (
     EXAMPLE2_LOADING_PARAMS,
+    EXAMPLE3_LOADING_PARAMS,
+    EXAMPLE_FACTORS,
     MARKET,
     AlphaSpec,
     ErrorScenario,
@@ -206,3 +208,36 @@ def test_simulate_panel_is_deterministic():
     assert np.array_equal(a.panel, b.panel)
     assert np.array_equal(a.factors, b.factors)
     assert np.array_equal(a.support, b.support)
+
+
+def _reference_simulation(example, scenario, alpha_spec, N, T, rng):
+    """simulate_panel's draws, with the systematic part formed from a full
+    (N, p, T) loadings copy contracted as einsum("ipt,tp->ti")."""
+    F = np.column_stack([ar_garch_path(s, T, rng) for s in EXAMPLE_FACTORS[example]])
+    u = np.arange(1, T + 1) / T
+    if example == 1:
+        base = logistic_g(10.0 * u, 2.0, 2.0)[None, :]
+    elif example == 2:
+        state = latent_state_path(T, rng)
+        base = np.stack([a + b * state for a, b in EXAMPLE2_LOADING_PARAMS])
+    else:
+        ramp = logistic_g(10.0 * u, 2.0, 2.0)
+        base = np.stack([a * ramp + b for a, b in EXAMPLE3_LOADING_PARAMS])
+    loadings = np.broadcast_to(base[None, :, :], (N,) + base.shape).copy()
+    errors = gen_errors(scenario, N, T, rng)
+    panel = np.zeros((T, N)) + np.einsum("ipt,tp->ti", loadings, F) + errors
+    alpha, support = gen_alpha(alpha_spec, N, T, rng)
+    return panel + alpha, F, alpha, support
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_simulate_panel_matches_full_loadings_reference(example):
+    spec = AlphaSpec(sparsity=2, strength=3.0)
+    sim = simulate_panel(example, ErrorScenario("t"), spec, 12, 60, np.random.default_rng(41))
+    panel, F, alpha, support = _reference_simulation(
+        example, ErrorScenario("t"), spec, 12, 60, np.random.default_rng(41)
+    )
+    assert np.array_equal(sim.panel, panel)
+    assert np.array_equal(sim.factors, F)
+    assert np.array_equal(sim.alpha, alpha)
+    assert np.array_equal(sim.support, support)
