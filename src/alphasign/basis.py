@@ -200,15 +200,6 @@ class DesignMatrix:
     def n_columns(self) -> int:
         return self.Z.shape[1]
 
-    def annihilate(self, v: np.ndarray) -> np.ndarray:
-        """Project v onto the orthogonal complement of the column span of Z.
-
-        Uses the rank-truncated basis Q, so the built-in dependency of the
-        centered block contributes no spurious direction.
-        """
-        v = np.asarray(v, dtype=float)
-        return _residual(v, self.Q)
-
 
 def build_design(factors, config: SplineConfig) -> DesignMatrix:
     """Assemble and factorize the centered/uncentered design pair.
@@ -348,15 +339,19 @@ def default_knot_candidates(T: int) -> range:
 
 @one_blas_thread()
 def _score_knot_candidates(panel, factors, candidates, order: int):
-    """Score each candidate knot count and pick the winner.
+    """Score each distinct candidate knot count and pick the winner.
 
-    Returns ({n: score, or None when the candidate is unusable}, best n).
-    Candidates that violate fit preconditions or produce singular designs
-    are unusable; ties break toward the smaller knot count. Raises if
-    every candidate is unusable. OpenBLAS runs at one thread for the call.
+    Returns ({n: score, or None when the candidate is unusable}, best n),
+    keyed in ascending n. Candidates that violate fit preconditions or
+    produce singular designs are unusable; ties break toward the smaller
+    knot count. Raises if the candidate set is empty or every candidate is
+    unusable. OpenBLAS runs at one thread for the call.
     """
+    cand = sorted(set(int(c) for c in candidates))
+    if not cand:
+        raise ContractError("candidate set for knot selection is empty")
     scores, failures = {}, []
-    for n in candidates:
+    for n in cand:
         try:
             scores[n] = bic_score(panel, factors, SplineConfig(n, order))
         except (SingularDesignError, ContractError) as exc:
@@ -367,7 +362,7 @@ def _score_knot_candidates(panel, factors, candidates, order: int):
         raise SingularDesignError(
             "no knot candidate produced a usable design: " + "; ".join(failures)
         )
-    return scores, min(sorted(usable), key=usable.__getitem__)
+    return scores, min(usable, key=usable.__getitem__)
 
 
 def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
@@ -379,7 +374,4 @@ def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
     """
     if candidates is None:
         candidates = default_knot_candidates(np.asarray(panel).shape[0])
-    cand = sorted(set(int(c) for c in candidates))
-    if not cand:
-        raise ContractError("candidate set for knot selection is empty")
-    return _score_knot_candidates(panel, factors, cand, order)[1]
+    return _score_knot_candidates(panel, factors, candidates, order)[1]

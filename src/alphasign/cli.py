@@ -42,7 +42,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise _UsageError(message)
 
 
@@ -61,6 +60,13 @@ def _parse_tests(text: str) -> tuple[str, ...]:
     if unknown:
         raise _UsageError(f"unknown test names: {sorted(unknown)}")
     return tuple(t for t in TEST_NAMES if t in names)
+
+
+def _parse_candidates(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise _UsageError(f"invalid --candidates value: {text!r}") from None
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -154,7 +160,8 @@ def _apply_config_file(parser: _Parser, argv: list[str]):
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise _UsageError("--config requires a file argument")
-    values = _load_config_file(argv[idx + 1])
+    path = argv[idx + 1]
+    values = _load_config_file(path)
     sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     command = next((a for a in argv if not a.startswith("-")), None)
     if command is None or not sub_actions or command not in sub_actions[0].choices:
@@ -166,7 +173,12 @@ def _apply_config_file(parser: _Parser, argv: list[str]):
         if key not in dests:
             raise _UsageError(f"config file key {key!r} is not a {command} option")
         action = dests[key]
-        defaults[key] = action.type(value) if action.type else value
+        try:
+            defaults[key] = action.type(value) if action.type else value
+        except ValueError:
+            raise _UsageError(
+                f"{path}: invalid value {value!r} for config key {key!r}"
+            ) from None
     sub.set_defaults(**defaults)
 
 
@@ -199,7 +211,7 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _experiment_config(args, alpha: AlphaSpec, strength: float | None = None) -> ExperimentConfig:
+def _experiment_config(args, alpha: AlphaSpec) -> ExperimentConfig:
     return ExperimentConfig(
         example=args.example,
         scenario=ErrorScenario(args.errors),
@@ -211,7 +223,6 @@ def _experiment_config(args, alpha: AlphaSpec, strength: float | None = None) ->
         gamma=args.level,
         knots=_parse_knots(args.knots),
         order=args.order,
-        keep_pvalues=False,
     )
 
 
@@ -311,11 +322,10 @@ def _cmd_rolling(args) -> int:
 def _cmd_knots(args) -> int:
     panel = panels.read_panel(args.panel)
     factors = panels.read_factors(args.factors)
-    T = panel.values.shape[0]
     if args.candidates:
-        candidates = [int(x) for x in args.candidates.split(",") if x.strip()]
+        candidates = _parse_candidates(args.candidates)
     else:
-        candidates = list(basis.default_knot_candidates(T))
+        candidates = basis.default_knot_candidates(panel.values.shape[0])
     scores, best = basis._score_knot_candidates(
         panel.values, factors.values, candidates, args.order
     )
@@ -329,14 +339,13 @@ def _cmd_knots(args) -> int:
                     "panel": args.panel,
                     "factors": args.factors,
                     "order": args.order,
-                    "candidates": ",".join(str(n) for n in candidates),
+                    "candidates": ",".join(str(n) for n in scores),
                 }
             )
             + "\n"
         )
         fh.write("n,basis_dim,bic,selected\n")
-        for n in candidates:
-            score = scores[n]
+        for n, score in scores.items():
             bic_txt = "" if score is None else panels.format_float(score)
             fh.write(f"{n},{n + args.order},{bic_txt},{int(n == best)}\n")
     finally:
@@ -364,7 +373,8 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return USAGE_EXIT
         return _COMMANDS[args.command](args)
-    except _UsageError:
+    except _UsageError as exc:
+        print(f"alphasign: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code

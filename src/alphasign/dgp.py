@@ -182,11 +182,11 @@ def latent_state_path(T: int, rng, burn_in: int = BURN_IN) -> np.ndarray:
     return z[burn_in:]
 
 
-def gen_loadings(example: int, N: int, T: int, rng) -> tuple[np.ndarray, np.ndarray | None]:
-    """Loading array of shape (N, p, T) plus the latent state (example 2).
+def gen_loadings(example: int, T: int, rng) -> tuple[np.ndarray, np.ndarray | None]:
+    """Loading array of shape (p, T) plus the latent state (example 2).
 
-    Loadings carry no asset dependence in any example, so the first axis
-    is a broadcast copy. Only example 2 consumes randomness (its latent
+    Loadings carry no asset dependence in any example, so every asset
+    shares this array. Only example 2 consumes randomness (its latent
     state path).
     """
     if example not in EXAMPLE_FACTORS:
@@ -201,27 +201,25 @@ def gen_loadings(example: int, N: int, T: int, rng) -> tuple[np.ndarray, np.ndar
     else:
         ramp = logistic_g(10.0 * u, 2.0, 2.0)
         base = np.stack([a * ramp + b for a, b in EXAMPLE3_LOADING_PARAMS])
-    loadings = np.broadcast_to(base[None, :, :], (N, base.shape[0], T)).copy()
-    return loadings, state
-
-
-@lru_cache(maxsize=8)
-def _error_cov_factors(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor and symmetric square root of the 0.5^|i-j| covariance."""
-    idx = np.arange(N)
-    cov = ERROR_AR_RHO ** np.abs(idx[:, None] - idx[None, :])
-    chol = np.linalg.cholesky(cov)
-    vals, vecs = np.linalg.eigh(cov)
-    sym_root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    chol.setflags(write=False)
-    sym_root.setflags(write=False)
-    return chol, sym_root
+    return base, state
 
 
 def error_covariance(N: int) -> np.ndarray:
     """The N x N cross-sectional covariance 0.5^|i-j|."""
     idx = np.arange(N)
     return ERROR_AR_RHO ** np.abs(idx[:, None] - idx[None, :])
+
+
+@lru_cache(maxsize=8)
+def _error_cov_factors(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor and symmetric square root of error_covariance(N)."""
+    cov = error_covariance(N)
+    chol = np.linalg.cholesky(cov)
+    vals, vecs = np.linalg.eigh(cov)
+    sym_root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    chol.setflags(write=False)
+    sym_root.setflags(write=False)
+    return chol, sym_root
 
 
 def gen_errors(scenario: ErrorScenario, N: int, T: int, rng) -> np.ndarray:
@@ -296,9 +294,10 @@ def assemble_panel(
         )
     specs = EXAMPLE_FACTORS[example]
     F = np.column_stack([ar_garch_path(s, T, rng) for s in specs])
-    loadings, _ = gen_loadings(example, N, T, rng)
+    loadings, _ = gen_loadings(example, T, rng)
     errors = gen_errors(scenario, N, T, rng)
-    systematic = np.einsum("ipt,tp->ti", loadings, F)
+    # Loadings are shared by all assets, so one (T, 1) column broadcasts.
+    systematic = np.einsum("pt,tp->t", loadings, F)[:, None]
     return alpha + systematic + errors, F
 
 

@@ -26,6 +26,9 @@ THREADS_ENV = "ALPHASIGN_THREADS"
 # A run with more than this share of failed replications is flagged invalid.
 MAX_FAILURE_SHARE = 0.05
 
+# Levels at which rolling_windows reports rejection ratios.
+ROLLING_LEVELS = (0.01, 0.05)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -47,7 +50,6 @@ class ExperimentConfig:
     tests: tuple[str, ...] = TEST_NAMES
     knots: int | str = "auto"
     order: int = 3
-    keep_pvalues: bool = True
 
     def __post_init__(self):
         if self.reps < 1:
@@ -72,9 +74,8 @@ class ExperimentReport:
 
     rejection_rates are computed over successful replications at the
     configured level. p_values maps each requested test to a reps-long
-    array with NaN rows for failed replications (present only when the
-    config retains them). valid is False when more than 5% of the
-    replications failed.
+    array with NaN rows for failed replications. valid is False when more
+    than 5% of the replications failed.
     """
 
     config: ExperimentConfig
@@ -83,7 +84,7 @@ class ExperimentReport:
     wall_time: float
     valid: bool
     chosen_knots: int | None
-    p_values: dict[str, np.ndarray] | None = field(default=None, repr=False)
+    p_values: dict[str, np.ndarray] = field(repr=False)
 
 
 def replication_rng(seed: int, rep_index: int) -> np.random.Generator:
@@ -118,7 +119,7 @@ def run_replication_results(
     config: ExperimentConfig, rep_index: int
 ) -> list[TestResult]:
     """Simulate replication rep_index and run the full battery on it."""
-    knots = resolve_knots(config) if config.knots == "auto" else config.knots
+    knots = resolve_knots(config)
     if knots == "auto-strict":
         knots = "auto"
     rng = replication_rng(config.seed, rep_index)
@@ -161,9 +162,7 @@ def collect_replications(
     config: ExperimentConfig, workers: int | None = None
 ) -> list[dict[str, float] | None]:
     """All replications' p-value dicts in rep order; None marks a failure."""
-    eff = config
-    if config.knots == "auto":
-        eff = replace(config, knots=resolve_knots(config))
+    eff = replace(config, knots=resolve_knots(config))
     n_workers = resolve_workers(workers)
     jobs = [(eff, i) for i in range(config.reps)]
     out: list[dict[str, float] | None] = [None] * config.reps
@@ -184,8 +183,7 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run all replications of a cell and aggregate rejection rates."""
     t0 = time.perf_counter()
-    chosen = resolve_knots(config) if config.knots == "auto" else None
-    eff = config if chosen is None else replace(config, knots=chosen)
+    eff = replace(config, knots=resolve_knots(config))
     rows = collect_replications(eff, workers)
     failures = sum(1 for r in rows if r is None)
     p_values: dict[str, np.ndarray] = {}
@@ -204,10 +202,8 @@ def run_experiment(
         failures=failures,
         wall_time=wall,
         valid=failures <= MAX_FAILURE_SHARE * config.reps,
-        chosen_knots=chosen if isinstance(chosen, int) else (
-            eff.knots if isinstance(eff.knots, int) else None
-        ),
-        p_values=p_values if config.keep_pvalues else None,
+        chosen_knots=eff.knots if isinstance(eff.knots, int) else None,
+        p_values=p_values,
     )
 
 
@@ -232,14 +228,13 @@ def rolling_windows(
     tests: tuple[str, ...] = TEST_NAMES,
     knots: int | str = "auto",
     order: int = 3,
-    levels: tuple[float, ...] = (0.01, 0.05),
 ) -> RollingResult:
     """Run the battery on every length-`window` contiguous sub-panel.
 
     A panel with T rows yields T - window + 1 windows, each treated as a
     standalone sample (the sieve grid and any knot selection are local to
-    the window). Rejection ratios report, per test and level, the share
-    of windows whose p-value falls below the level.
+    the window). Rejection ratios report, per test and each level in
+    ROLLING_LEVELS, the share of windows whose p-value falls below it.
     """
     Y = np.asarray(panel, dtype=float)
     F = np.asarray(factors, dtype=float)
@@ -265,9 +260,9 @@ def rolling_windows(
         by_name = {r.name: r.p_value for r in results}
         pvals[w] = [by_name[t] for t in tests]
     ratios = {
-        float(level): {
+        level: {
             t: float(np.mean(pvals[:, j] < level)) for j, t in enumerate(tests)
         }
-        for level in levels
+        for level in ROLLING_LEVELS
     }
     return RollingResult(starts, tuple(tests), pvals, ratios)

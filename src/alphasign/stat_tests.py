@@ -212,65 +212,53 @@ def projection_sign_bias(design: DesignMatrix) -> float:
     return (float(g @ g) - float(qg @ qg) - hh) / hh
 
 
-def css_test(residuals, residuals_tilde, h, design: DesignMatrix | None = None) -> TestResult:
+def css_test(residuals, residuals_tilde, design: DesignMatrix) -> TestResult:
     """Sum-type spatial-sign test, one-sided against positive intercepts.
 
     The numerator aggregates the sign gram of the intercept-keeping
-    residuals through h; the denominator is the square root of the null
-    variance of that cross-pair sum, 2 tr(Sigma_u^2) (1 - sum h^4/(h'h)^2),
-    with the trace estimated from the intercept-absorbing residuals. When
-    the design is supplied, two projection corrections derived from the
-    same cross-time sign correlation C_ts = M_ts / sqrt(M_tt M_ss) apply:
-    the numerator's null expectation (see projection_sign_bias) is
+    residuals through the design's h; the denominator is the square root
+    of the null variance of that cross-pair sum,
+    2 tr(Sigma_u^2) (1 - sum h^4/(h'h)^2), with the trace estimated from
+    the intercept-absorbing residuals. Two projection corrections derived
+    from the same cross-time sign correlation C_ts = M_ts / sqrt(M_tt M_ss)
+    apply: the numerator's null expectation (see projection_sign_bias) is
     subtracted, and the variance picks up the shared-index pair term
     2 tr(Sigma_u^2) * 2b, so the factor becomes
     (1 - sum h^4/(h'h)^2 + 2b). Both corrections vanish as the design's
-    column share K/T goes to zero. Bare calls without a design skip them.
+    column share K/T goes to zero.
 
-    P-value reference: without a design the statistic is referred to its
-    standard normal limit. With a design, the nonnegative quadratic
-    aggregate (numerator + 1) is referred to a two-moment-matched scaled
-    chi-square with nu = 1 / (trace * variance factor) degrees of freedom
-    instead; this keeps the mean and variance of the normal reference but
-    also carries the right-skew a weighted sum of squares has in finite
-    samples, and it converges to the normal reference as nu grows. The
-    reported statistic is the standardized form in both cases, so the two
-    references order panels identically.
+    P-value reference: the nonnegative quadratic aggregate (numerator + 1)
+    is referred to a two-moment-matched scaled chi-square with
+    nu = 1 / (trace * variance factor) degrees of freedom. This keeps the
+    mean and variance of the standard normal limit but also carries the
+    right-skew a weighted sum of squares has in finite samples, and it
+    converges to the normal limit as nu grows. The reported statistic is
+    the standardized form.
     """
     E = np.asarray(residuals, dtype=float)
-    hv = np.asarray(h, dtype=float)
     if E.ndim != 2:
         raise ContractError(f"residuals must be T x N, got ndim={E.ndim}")
-    if hv.shape != (E.shape[0],):
-        raise ContractError("h must have one entry per cross section")
-    hh = float(hv @ hv)
-    if hh <= 0.0:
-        raise DegenerateStatisticError("h is numerically zero")
+    if design.n_obs != E.shape[0]:
+        raise ContractError("design row count does not match residuals")
+    hv = design.h
     trace = trace_sigma_u_sq(residuals_tilde, hv)
     if trace <= 0.0:
         raise DegenerateStatisticError(
             f"trace estimate must be positive, got {trace:g}"
         )
+    hh = float(hv @ hv)
     S = _row_signs(E)
     Sh = S.T @ hv
-    numerator = float(Sh @ Sh) / hh - 1.0
-    var_factor = 1.0 - float(np.sum(hv**4)) / (hh * hh)
-    if design is not None:
-        if design.n_obs != E.shape[0]:
-            raise ContractError("design row count does not match residuals")
-        bias = projection_sign_bias(design)
-        numerator -= bias
-        var_factor += 2.0 * bias
+    bias = projection_sign_bias(design)
+    numerator = float(Sh @ Sh) / hh - 1.0 - bias
+    var_factor = 1.0 - float(np.sum(hv**4)) / (hh * hh) + 2.0 * bias
     if var_factor <= 0.0:
         raise DegenerateStatisticError(
             f"variance factor must be positive, got {var_factor:g}"
         )
     stat = numerator / math.sqrt(2.0 * trace * var_factor)
-    if design is None:
-        p = _norm_sf(stat)
-    else:
-        nu = 1.0 / (trace * var_factor)
-        p = _chi2_sf(nu + stat * math.sqrt(2.0 * nu), nu)
+    nu = 1.0 / (trace * var_factor)
+    p = _chi2_sf(nu + stat * math.sqrt(2.0 * nu), nu)
     return TestResult("CSS", stat, p, REFERENCES["CSS"])
 
 
@@ -380,8 +368,6 @@ def run_all_tests(
     factors,
     knots: int | str = "auto",
     order: int = 3,
-    knot_candidates=None,
-    p_effective: int | None = None,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> list[TestResult]:
@@ -390,7 +376,8 @@ def run_all_tests(
     The sieve fit happens once, the spatial location/scale iteration runs
     once on the centered-design residuals, and every statistic reuses
     those shared pieces. knots is either a fixed interior-knot count or
-    "auto" for information-criterion selection. Errors from any stage are
+    "auto" for information-criterion selection over the default
+    candidates. MNT's residual dof uses the factor count p. Errors from any stage are
     re-raised with the stage name prefixed. OpenBLAS runs at one thread
     for the call (see `alphasign.blas`).
     """
@@ -416,7 +403,7 @@ def run_all_tests(
     if knots == "auto":
         n_knots = _stage(
             "knot-selection",
-            lambda: select_knots_bic(Y, F, candidates=knot_candidates, order=order),
+            lambda: select_knots_bic(Y, F, order=order),
         )
     else:
         n_knots = int(knots)
@@ -431,16 +418,10 @@ def run_all_tests(
         "moments", lambda: moment_estimates(fit.residuals, loc, design.omega_T)
     )
     hda = _stage("HDA", lambda: hda_test(fit.residuals, design))
-    mnt = _stage(
-        "MNT",
-        lambda: mnt_test(fit.residuals, p if p_effective is None else p_effective),
-    )
+    mnt = _stage("MNT", lambda: mnt_test(fit.residuals, p))
     csm = _stage("CSM", lambda: csm_test(loc, moments, T, N))
     css = _stage(
-        "CSS",
-        lambda: css_test(
-            fit.residuals, fit.residuals_tilde, design.h, design=design
-        ),
+        "CSS", lambda: css_test(fit.residuals, fit.residuals_tilde, design)
     )
     ada = TestResult(
         "Ada",

@@ -114,7 +114,6 @@ def null_cell_t3():
         T=350,
         reps=500,
         seed=ACCEPT_SEED,
-        keep_pvalues=False,
     )
     return run_experiment(config, workers=1)
 
@@ -132,7 +131,6 @@ def power_curve_t3():
             reps=300,
             seed=ACCEPT_SEED,
             alpha_spec=AlphaSpec(sparsity=2, strength=float(c)),
-            keep_pvalues=False,
         )
         rates[c] = run_experiment(config, workers=1).rejection_rates
     return rates

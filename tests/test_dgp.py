@@ -65,21 +65,21 @@ def test_logistic_ramp_values():
 def test_loadings_by_example():
     T = 10
     ramp = logistic_g(10.0 * np.arange(1, T + 1) / T, 2.0, 2.0)
-    l1, s1 = gen_loadings(1, 3, T, np.random.default_rng(0))
-    assert l1.shape == (3, 1, T)
+    l1, s1 = gen_loadings(1, T, np.random.default_rng(0))
+    assert l1.shape == (1, T)
     assert s1 is None
-    assert np.allclose(l1[2, 0], ramp)
-    l3, s3 = gen_loadings(3, 4, T, np.random.default_rng(0))
-    assert l3.shape == (4, 3, T)
+    assert np.allclose(l1[0], ramp)
+    l3, s3 = gen_loadings(3, T, np.random.default_rng(0))
+    assert l3.shape == (3, T)
     assert s3 is None
     # second factor loading at t/T = 0.2: 0.1 * G(2) + 0.5
-    assert l3[0, 1, 1] == pytest.approx(0.55, abs=1e-12)
-    l2, s2 = gen_loadings(2, 3, 50, np.random.default_rng(77))
+    assert l3[1, 1] == pytest.approx(0.55, abs=1e-12)
+    l2, s2 = gen_loadings(2, 50, np.random.default_rng(77))
     assert s2 is not None and s2.shape == (50,)
     a1, b1 = EXAMPLE2_LOADING_PARAMS[0]
-    assert np.allclose(l2[0, 0], a1 + b1 * s2)
+    assert np.allclose(l2[0], a1 + b1 * s2)
     with pytest.raises(ContractError):
-        gen_loadings(4, 3, T, np.random.default_rng(0))
+        gen_loadings(4, T, np.random.default_rng(0))
 
 
 def test_latent_state_is_deterministic():

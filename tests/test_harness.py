@@ -102,9 +102,6 @@ def test_run_experiment_tiny_cell_is_deterministic():
     for name in TEST_NAMES:
         assert np.array_equal(report.p_values[name], again.p_values[name])
 
-    silent = run_experiment(_tiny_config(keep_pvalues=False), workers=1)
-    assert silent.p_values is None
-
 
 def test_run_experiment_auto_knots_reports_choice():
     report = run_experiment(_tiny_config(knots="auto", reps=2), workers=1)

@@ -180,6 +180,11 @@ def test_cli_exit_codes(cli_files, capsys):
     assert main(["test", cli_files["zeros"], cli_files["factors"], "--knots", "1"]) == 3
     assert main(["--version"]) == 0
     capsys.readouterr()  # swallow usage noise
+    # knot candidates must be a comma list of integers
+    for bad in ("a,b", ",", "1,,2"):
+        code = main(["knots", cli_files["panel"], cli_files["factors"], "--candidates", bad])
+        assert code == 1, bad
+        assert "invalid --candidates value" in capsys.readouterr().err
 
 
 def test_cli_knots_table(cli_files):
@@ -193,6 +198,11 @@ def test_cli_knots_table(cli_files):
     assert sum(int(r[3]) for r in rows[1:]) == 1
     for r in rows[1:]:
         float(r[2])  # scores are numeric for usable candidates
+
+    # repeated and unordered candidates give one row per distinct count, ascending
+    dup = str(cli_files["root"] / "knots_dup.csv")
+    assert main(["knots", cli_files["panel"], cli_files["factors"], "--candidates", "2,2,1", "--out", dup]) == 0
+    assert _read_result_rows(dup) == rows
 
 
 def test_cli_simulate_size(cli_files):
@@ -247,7 +257,7 @@ def test_cli_rolling(cli_files, capsys):
     assert summary.splitlines()[0] == "level," + ",".join(TEST_NAMES)
 
 
-def test_cli_config_file_defaults_and_flag_priority(cli_files):
+def test_cli_config_file_defaults_and_flag_priority(cli_files, capsys):
     root = cli_files["root"]
     cfg = str(root / "run.cfg")
     with open(cfg, "w") as fh:
@@ -270,6 +280,13 @@ def test_cli_config_file_defaults_and_flag_priority(cli_files):
     with open(bad, "w") as fh:
         fh.write("nonsense_key=3\n")
     assert main(["test", cli_files["panel"], cli_files["factors"], "--config", bad]) == 1
+
+    mistyped = str(root / "mistyped.cfg")
+    with open(mistyped, "w") as fh:
+        fh.write("N=abc\n")
+    assert main(["simulate-size", "--config", mistyped]) == 1
+    err = capsys.readouterr().err
+    assert mistyped in err and "'N'" in err
 
 
 def test_cli_thread_env_misuse_is_reported(cli_files, monkeypatch):

@@ -108,10 +108,11 @@ def test_design_layout_and_h_invariants(small_design):
     assert np.max(np.abs(design.Z.T @ design.h)) <= 1e-8
     assert design.omega_T == pytest.approx(float(design.h @ design.h), rel=1e-12)
     assert 0.0 < design.omega_T <= T
-    # annihilate kills every design column and fixes h
-    for j in range(design.n_columns):
-        assert np.max(np.abs(design.annihilate(design.Z[:, j]))) <= 1e-8
-    assert np.max(np.abs(design.annihilate(design.h) - design.h)) <= 1e-8
+    # the annihilator I - QQ' of the stored basis kills every design column
+    # and fixes h
+    q = design.Q
+    assert np.max(np.abs(design.Z - q @ (q.T @ design.Z))) <= 1e-8
+    assert np.max(np.abs(q.T @ design.h)) <= 1e-8
 
 
 def test_design_arrays_are_read_only(small_design):

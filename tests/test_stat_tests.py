@@ -118,29 +118,25 @@ def test_trace_guards():
         trace_sigma_u_sq(np.ones((1, 2)), np.ones(1))
 
 
-def test_css_zero_statistic_hand_case():
-    s22 = math.sqrt(2.0) / 2.0
-    rows = np.array([[1.0, 0.0], [s22, s22], [-s22, s22]])
-    result = css_test(rows, rows, np.ones(3))
-    assert result.name == "CSS"
-    assert result.reference == REFERENCES["CSS"]
-    assert result.statistic == pytest.approx(0.0, abs=1e-12)
-    assert result.p_value == pytest.approx(0.5, abs=1e-12)
-
-
 def test_css_orthogonal_signs_have_no_normalizer():
-    with pytest.raises(DegenerateStatisticError, match="trace"):
-        css_test(np.eye(3), np.eye(3), np.ones(3))
+    # intercept-only design with no interior knots: the centered block is
+    # orthogonal to the constant, so h = 1
+    design = build_design(np.empty((8, 0)), SplineConfig(0, 2))
+    assert np.allclose(design.h, 1.0, rtol=0.0, atol=1e-12)
+    signs = np.eye(10)[:8]
+    with pytest.raises(DegenerateStatisticError, match="trace estimate must be positive"):
+        css_test(signs, signs, design)
 
 
 def test_css_input_guards(small_sim, small_design, small_fit):
+    E, E_tilde = small_fit.residuals, small_fit.residuals_tilde
     with pytest.raises(ContractError):
-        css_test(small_fit.residuals, small_fit.residuals_tilde, np.ones(3))
+        css_test(E[:, 0], E_tilde, small_design)
     other = build_design(small_sim.factors[:100], SplineConfig(2, 3))
+    with pytest.raises(ContractError, match="design row count"):
+        css_test(E, E_tilde, other)
     with pytest.raises(ContractError):
-        css_test(
-            small_fit.residuals, small_fit.residuals_tilde, small_design.h, design=other
-        )
+        css_test(E, E_tilde[:100], small_design)
 
 
 def test_css_design_corrections_match_manual_recomputation(small_sim, small_design, small_fit):
@@ -168,13 +164,11 @@ def test_css_design_corrections_match_manual_recomputation(small_sim, small_desi
     nu = 1.0 / (trace * var_factor)
     p = scipy.stats.chi2.sf(nu + stat * math.sqrt(2.0 * nu), df=nu)
 
-    result = css_test(E, fit.residuals_tilde, h, design=design)
+    result = css_test(E, fit.residuals_tilde, design)
+    assert result.name == "CSS"
+    assert result.reference == REFERENCES["CSS"]
     assert result.statistic == pytest.approx(stat, abs=1e-9)
     assert result.p_value == pytest.approx(float(p), abs=1e-10)
-    # the bare call uses the normal reference and no design corrections
-    bare = css_test(E, fit.residuals_tilde, h)
-    assert bare.p_value == pytest.approx(_norm_sf(bare.statistic), abs=1e-15)
-    assert bare.statistic != pytest.approx(result.statistic, abs=1e-6)
 
 
 def test_css_bias_rejects_unit_leverage():
@@ -336,9 +330,7 @@ def test_run_all_tests_is_deterministic_and_scale_invariant(small_sim):
 
 
 def test_run_all_tests_auto_knots_and_stage_errors(small_sim):
-    results = run_all_tests(
-        small_sim.panel, small_sim.factors, knots="auto", knot_candidates=[1, 2]
-    )
+    results = run_all_tests(small_sim.panel, small_sim.factors, knots="auto")
     assert len(results) == len(TEST_NAMES)
     with pytest.raises(DegenerateScaleError, match="^spatial-median:"):
         run_all_tests(np.zeros_like(small_sim.panel), small_sim.factors, knots=2)
