@@ -174,11 +174,14 @@ def _apply_config_file(parser: _Parser, argv: list[str]):
             raise _UsageError(f"config file key {key!r} is not a {command} option")
         action = dests[key]
         try:
-            defaults[key] = action.type(value) if action.type else value
+            typed = action.type(value) if action.type else value
+            if action.choices and typed not in action.choices:
+                raise ValueError(value)
         except ValueError:
             raise _UsageError(
                 f"{path}: invalid value {value!r} for config key {key!r}"
             ) from None
+        defaults[key] = typed
     sub.set_defaults(**defaults)
 
 

@@ -377,9 +377,9 @@ def run_all_tests(
     once on the centered-design residuals, and every statistic reuses
     those shared pieces. knots is either a fixed interior-knot count or
     "auto" for information-criterion selection over the default
-    candidates. MNT's residual dof uses the factor count p. Errors from any stage are
-    re-raised with the stage name prefixed. OpenBLAS runs at one thread
-    for the call (see `alphasign.blas`).
+    candidates. MNT's residual dof uses the factor count p. Errors from
+    any stage are re-raised with the stage name prefixed. OpenBLAS runs
+    at one thread for the call (see `alphasign.blas`).
     """
     Y = np.asarray(panel, dtype=float)
     F = np.asarray(factors, dtype=float)

@@ -281,12 +281,14 @@ def test_cli_config_file_defaults_and_flag_priority(cli_files, capsys):
         fh.write("nonsense_key=3\n")
     assert main(["test", cli_files["panel"], cli_files["factors"], "--config", bad]) == 1
 
-    mistyped = str(root / "mistyped.cfg")
-    with open(mistyped, "w") as fh:
-        fh.write("N=abc\n")
-    assert main(["simulate-size", "--config", mistyped]) == 1
-    err = capsys.readouterr().err
-    assert mistyped in err and "'N'" in err
+    # values that do not parse, or fall outside an option's choices, are usage errors
+    for line, key in (("N=abc", "'N'"), ("example=7", "'example'")):
+        mistyped = str(root / "mistyped.cfg")
+        with open(mistyped, "w") as fh:
+            fh.write(line + "\n")
+        assert main(["simulate-size", "--config", mistyped]) == 1, line
+        err = capsys.readouterr().err
+        assert mistyped in err and key in err
 
 
 def test_cli_thread_env_misuse_is_reported(cli_files, monkeypatch):
