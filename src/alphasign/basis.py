@@ -10,14 +10,17 @@ downstream probe exactly that surviving component. A twin design with the
 *uncentered* intercept block absorbs the averaged intercept instead and
 supplies the residuals used by variance/trace estimators.
 
-Each design is factorized once, when built, and keeps orthonormal bases
-of both twins' column spans, so a fit is two projections.
+Each design is factorized once, when built, through the uncentered twin,
+whose span contains the centered one's; it keeps orthonormal bases of
+both twins' column spans, so a fit is two projections. The knot search
+scores a candidate from the uncentered twin's basis alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,11 @@ from .errors import ContractError, SingularDesignError
 
 # Reciprocal condition number below which a design is treated as singular.
 RCOND_MIN = 1e-12
+
+# Share of ||Y||^2 below which bic_score takes its residual sum of squares
+# from the residual rather than from ||Y||^2 - ||Q'Y||^2, keeping the
+# subtraction's relative error near eps / 1e-3.
+_RSS_FALLBACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,26 @@ def _as_factor_matrix(factors) -> np.ndarray:
     return f
 
 
+def _as_panel(panel) -> np.ndarray:
+    Y = np.asarray(panel, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if Y.ndim != 2:
+        raise ContractError(f"panel must be a T x N matrix, got ndim={Y.ndim}")
+    if not np.all(np.isfinite(Y)):
+        raise ContractError("panel contains non-finite values")
+    return Y
+
+
+def _panel_and_factors(panel, factors) -> tuple[np.ndarray, np.ndarray]:
+    Y, f = _as_panel(panel), _as_factor_matrix(factors)
+    if Y.shape[0] != f.shape[0]:
+        raise ContractError(
+            f"panel has {Y.shape[0]} rows but factors have {f.shape[0]}"
+        )
+    return Y, f
+
+
 def _effective_rcond(s: np.ndarray, structural_nullity: int = 0) -> float:
     """Reciprocal condition number from singular values, ignoring nulls
     that are present by construction.
@@ -201,6 +229,71 @@ class DesignMatrix:
         return self.Z.shape[1]
 
 
+class _Twins(NamedTuple):
+    """A design pair factorized through the uncentered twin, rank-checked."""
+
+    B_centered: np.ndarray  # centered intercept-basis block
+    Z_tilde: np.ndarray
+    Q_tilde: np.ndarray
+    rotation: np.ndarray | None  # left singular vectors of Q_tilde' Z
+    rcond: float
+    rcond_tilde: float
+
+
+def _factor_twins(f: np.ndarray, config: SplineConfig, rotate: bool) -> _Twins:
+    """Assemble the uncentered twin Z_tilde = [B, f_1 B, ..., f_p B], take
+    its thin SVD and check the rank of both twins.
+
+    The clamped basis sums to one, so the centered twin Z, whose intercept
+    block is B - 1 m' (m the column means of B), lies in the span of
+    Z_tilde: Z = Q_tilde (Q_tilde' Z). The K x K matrix Q_tilde' Z therefore
+    has the singular values of Z, and its left singular vectors rotate
+    Q_tilde onto Z's span. It is formed as S V' less (Q_tilde' 1) m' in the
+    intercept columns, without Z, and its singular vectors are computed
+    only when `rotate` is set (else `rotation` is None). Raises
+    ContractError when T < K + 1 and SingularDesignError, naming the first
+    failing block, when either twin is rank deficient (Z beyond its
+    built-in dependency).
+    """
+    T, p = f.shape
+    L = config.basis_dim
+    K = (1 + p) * L
+    if T < K + 1:
+        raise ContractError(
+            f"need T >= (1+p)L + 1 = {K + 1} observations, got T={T}"
+        )
+    knots = make_knots(config.interior_knots, config.order)
+    u = np.arange(1, T + 1) / T
+    B = _basis_matrix(knots, config.order, u)
+    mean = B.mean(axis=0)
+    B_centered = B - mean
+    factor_blocks = [f[:, [j]] * B for j in range(p)]
+    Z_tilde = np.hstack([B] + factor_blocks)
+    q_tilde, s_tilde, vt = np.linalg.svd(Z_tilde, full_matrices=False)
+    R = s_tilde[:, None] * vt
+    R[:, :L] -= np.outer(q_tilde.sum(axis=0), mean)
+    if rotate:
+        rotation, s, _ = np.linalg.svd(R)
+    else:
+        rotation, s = None, np.linalg.svd(R, compute_uv=False)
+    # Rank contract: Z carries exactly one built-in dependency (see
+    # DesignMatrix), Z_tilde none. Anything worse is a genuine singularity.
+    rcond = _effective_rcond(s, structural_nullity=1)
+    if rcond <= RCOND_MIN:
+        raise SingularDesignError(
+            "design matrix is rank deficient beyond the built-in dependency "
+            "of the centered intercept block (first failing prefix: "
+            f"{_name_singular_block([B_centered] + factor_blocks, p, first_block_nullity=1)})"
+        )
+    rcond_tilde = _effective_rcond(s_tilde)
+    if rcond_tilde <= RCOND_MIN:
+        raise SingularDesignError(
+            "uncentered design matrix is rank deficient (first failing "
+            f"prefix: {_name_singular_block([B] + factor_blocks, p)})"
+        )
+    return _Twins(B_centered, Z_tilde, q_tilde, rotation, rcond, rcond_tilde)
+
+
 def build_design(factors, config: SplineConfig) -> DesignMatrix:
     """Assemble and factorize the centered/uncentered design pair.
 
@@ -213,51 +306,24 @@ def build_design(factors, config: SplineConfig) -> DesignMatrix:
     """
     f = _as_factor_matrix(factors)
     T, p = f.shape
+    twins = _factor_twins(f, config, rotate=True)
     L = config.basis_dim
     K = (1 + p) * L
-    if T < K + 1:
-        raise ContractError(
-            f"need T >= (1+p)L + 1 = {K + 1} observations, got T={T}"
-        )
-    knots = make_knots(config.interior_knots, config.order)
-    u = np.arange(1, T + 1) / T
-    B = _basis_matrix(knots, config.order, u)
-    B_centered = B - B.mean(axis=0)
-    blocks = [B_centered] + [f[:, [j]] * B for j in range(p)]
-    Z = np.hstack(blocks)
-    Z_tilde = np.hstack([B] + blocks[1:])
-    # Rank contract: Z carries exactly one built-in dependency (see class
-    # docstring), Z_tilde none. Anything worse is a genuine singularity.
-    u_left, s, _ = np.linalg.svd(Z, full_matrices=False)
-    rcond = _effective_rcond(s, structural_nullity=1)
-    if rcond <= RCOND_MIN:
-        raise SingularDesignError(
-            "design matrix is rank deficient beyond the built-in dependency "
-            "of the centered intercept block (first failing prefix: "
-            f"{_name_singular_block(blocks, p, first_block_nullity=1)})"
-        )
-    u_tilde, s_tilde, _ = np.linalg.svd(Z_tilde, full_matrices=False)
-    rcond_tilde = _effective_rcond(s_tilde)
-    if rcond_tilde <= RCOND_MIN:
-        raise SingularDesignError(
-            "uncentered design matrix is rank deficient (first failing "
-            f"prefix: {_name_singular_block([B] + blocks[1:], p)})"
-        )
-    q = u_left[:, : K - 1]
+    q = twins.Q_tilde @ twins.rotation[:, : K - 1]
     ones = np.ones(T)
     h = ones - q @ (q.T @ ones)
     omega = float(np.clip(h @ h, 0.0, float(T)))
     return DesignMatrix(
-        Z=Z,
-        Z_tilde=Z_tilde,
+        Z=np.hstack([twins.B_centered, twins.Z_tilde[:, L:]]),
+        Z_tilde=twins.Z_tilde,
         omega_T=omega,
         h=h,
         config=config,
         n_factors=p,
         Q=q,
-        Q_tilde=u_tilde,
-        rcond=rcond,
-        rcond_tilde=rcond_tilde,
+        Q_tilde=twins.Q_tilde,
+        rcond=twins.rcond,
+        rcond_tilde=twins.rcond_tilde,
     )
 
 
@@ -282,17 +348,11 @@ def fit_panel(panel, design: DesignMatrix) -> FitResult:
     time-averaged intercept in `residuals`, while `residuals_tilde`
     absorbs it. Each residual is Y - Q (Q' Y) with the design's stored bases.
     """
-    Y = np.asarray(panel, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.ndim != 2:
-        raise ContractError(f"panel must be a T x N matrix, got ndim={Y.ndim}")
+    Y = _as_panel(panel)
     if Y.shape[0] != design.n_obs:
         raise ContractError(
             f"panel has {Y.shape[0]} rows but design expects {design.n_obs}"
         )
-    if not np.all(np.isfinite(Y)):
-        raise ContractError("panel contains non-finite values")
     if design.rcond <= RCOND_MIN or design.rcond_tilde <= RCOND_MIN:
         raise SingularDesignError("design is too ill conditioned to fit")
     return FitResult(
@@ -319,17 +379,27 @@ def bic_score(panel, factors, config: SplineConfig) -> float:
 
     The goodness-of-fit term is the log mean squared residual of the
     uncentered-design fit, whose span contains the constant and therefore
-    absorbs any time-averaged intercept before the fit is scored.
+    absorbs any time-averaged intercept before the fit is scored. With Q
+    the uncentered twin's orthonormal basis, the residual sum of squares is
+    ||Y||^2 - ||Q'Y||^2, so no T x N residual is formed. That subtraction
+    loses about eps ||Y||^2 / RSS relative accuracy; when RSS falls below
+    1e-3 ||Y||^2 it is taken from the residual Y - Q(Q'Y) instead. A
+    candidate is unusable, with `build_design`'s error, exactly when its
+    design pair is.
     """
-    Y = np.asarray(panel, dtype=float)
-    fit = fit_panel(Y, build_design(factors, config))
-    # The fit is private to this call, so its residuals are squared in place.
-    rss_mean = float(np.square(fit.residuals_tilde, out=fit.residuals_tilde).mean())
-    if rss_mean <= 0.0:
+    Y, f = _panel_and_factors(panel, factors)
+    q = _factor_twins(f, config, rotate=False).Q_tilde
+    yy = float(np.vdot(Y, Y))
+    fitted = q.T @ Y
+    rss = yy - float(np.vdot(fitted, fitted))
+    if rss < _RSS_FALLBACK * yy:
+        resid = _residual(Y, q)
+        rss = float(np.vdot(resid, resid))
+    T, N = Y.shape
+    if rss <= 0.0:
         # exact interpolation: push the criterion to -inf so it wins
         return -math.inf
-    N = Y.shape[1] if Y.ndim == 2 else 1
-    return math.log(rss_mean) + bic_penalty(N, Y.shape[0], _as_factor_matrix(factors).shape[1], config)
+    return math.log(rss / (T * N)) + bic_penalty(N, T, f.shape[1], config)
 
 
 def default_knot_candidates(T: int) -> range:
@@ -342,18 +412,21 @@ def _score_knot_candidates(panel, factors, candidates, order: int):
     """Score each distinct candidate knot count and pick the winner.
 
     Returns ({n: score, or None when the candidate is unusable}, best n),
-    keyed in ascending n. Candidates that violate fit preconditions or
-    produce singular designs are unusable; ties break toward the smaller
-    knot count. Raises if the candidate set is empty or every candidate is
-    unusable. OpenBLAS runs at one thread for the call.
+    keyed in ascending n. Candidates with too few observations or singular
+    designs are unusable; ties break toward the smaller knot count. Raises
+    ContractError if the candidate set is empty or the panel and factors
+    disagree in rows or hold non-finite values, and SingularDesignError if
+    every candidate is unusable. OpenBLAS runs at one thread for the call.
     """
     cand = sorted(set(int(c) for c in candidates))
     if not cand:
         raise ContractError("candidate set for knot selection is empty")
+    # Input errors are the caller's, not a candidate's: raise them here.
+    Y, f = _panel_and_factors(panel, factors)
     scores, failures = {}, []
     for n in cand:
         try:
-            scores[n] = bic_score(panel, factors, SplineConfig(n, order))
+            scores[n] = bic_score(Y, f, SplineConfig(n, order))
         except (SingularDesignError, ContractError) as exc:
             scores[n] = None
             failures.append(f"n={n}: {exc}")
@@ -368,8 +441,9 @@ def _score_knot_candidates(panel, factors, candidates, order: int):
 def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
     """Pick the interior-knot count minimizing the information criterion.
 
-    Candidates that violate fit preconditions or produce singular designs
-    are skipped; ties break toward the smaller knot count. Raises if every
+    Candidates with too few observations or singular designs are skipped;
+    ties break toward the smaller knot count. Raises ContractError on
+    mismatched or non-finite inputs and SingularDesignError if every
     candidate is unusable.
     """
     if candidates is None:

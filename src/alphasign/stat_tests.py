@@ -27,7 +27,7 @@ REFERENCES = {
     "HDA": "standard-normal",
     "MNT": "gumbel",
     "Ada": "combined",
-    "CSS": "standard-normal",
+    "CSS": "scaled-chi-square",
     "CSM": "gumbel",
     "CC": "combined",
 }

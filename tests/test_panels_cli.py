@@ -96,7 +96,7 @@ def test_provenance_line_is_order_insensitive():
 def test_write_test_results_table():
     buf = io.StringIO()
     results = [
-        TestResult("CSS", 1.5, 0.03, "standard-normal"),
+        TestResult("CSS", 1.5, 0.03, "scaled-chi-square"),
         TestResult("CC", None, 0.2, "combined"),
     ]
     write_test_results(buf, results, level=0.05, comments=["# run"])
@@ -177,6 +177,11 @@ def test_cli_exit_codes(cli_files, capsys):
     missing = str(cli_files["root"] / "missing.csv")
     assert main(["test", missing, cli_files["factors"]]) == 2
     assert main(["test", cli_files["panel"], cli_files["short"], "--knots", "1"]) == 2
+    # an 80-row panel against a 79-row factor file is a data error for the
+    # knot search too, not a numerical failure of every candidate
+    capsys.readouterr()
+    assert main(["knots", cli_files["panel"], cli_files["short"]]) == 2
+    assert "data error: panel has 80 rows but factors have 79" in capsys.readouterr().err
     assert main(["test", cli_files["zeros"], cli_files["factors"], "--knots", "1"]) == 3
     assert main(["--version"]) == 0
     capsys.readouterr()  # swallow usage noise

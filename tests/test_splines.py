@@ -214,3 +214,10 @@ def test_knot_selection_failure_modes(small_sim):
     tiny_y = rng.standard_normal((30, 2))
     with pytest.raises(SingularDesignError, match="no knot candidate"):
         select_knots_bic(tiny_y, tiny_f, candidates=[40])
+    # input errors are raised once, before any candidate is scored
+    with pytest.raises(ContractError, match="30 rows but factors have 29"):
+        select_knots_bic(tiny_y, tiny_f[:29], candidates=[1, 2])
+    bad_y = tiny_y.copy()
+    bad_y[3, 1] = np.inf
+    with pytest.raises(ContractError, match="non-finite"):
+        select_knots_bic(bad_y, tiny_f, candidates=[1, 2])

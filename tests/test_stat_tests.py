@@ -166,7 +166,7 @@ def test_css_design_corrections_match_manual_recomputation(small_sim, small_desi
 
     result = css_test(E, fit.residuals_tilde, design)
     assert result.name == "CSS"
-    assert result.reference == REFERENCES["CSS"]
+    assert result.reference == REFERENCES["CSS"] == "scaled-chi-square"
     assert result.statistic == pytest.approx(stat, abs=1e-9)
     assert result.p_value == pytest.approx(float(p), abs=1e-10)
 
@@ -387,6 +387,6 @@ def test_golden_projection_bias(golden_sim):
 def test_result_csv_row_formatting():
     row = TestResult("CC", None, 0.25, "combined").to_csv_row()
     assert row == ["CC", "", "0.25", "combined"]
-    stat_row = TestResult("CSS", 1.0 / 3.0, 1e-17, "standard-normal").to_csv_row()
+    stat_row = TestResult("CSS", 1.0 / 3.0, 1e-17, "scaled-chi-square").to_csv_row()
     assert float(stat_row[1]) == 1.0 / 3.0
     assert float(stat_row[2]) == 1e-17
