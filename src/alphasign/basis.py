@@ -97,15 +97,15 @@ def _basis_matrix(knots: np.ndarray, order: int, u: np.ndarray) -> np.ndarray:
         B[at_end, last] = 1.0
     for k in range(2, order + 1):
         cols = nk - k
-        nb = np.zeros((u.size, cols))
-        for i in range(cols):
-            den1 = knots[i + k - 1] - knots[i]
-            den2 = knots[i + k] - knots[i + 1]
-            if den1 > 0.0:
-                nb[:, i] += (u - knots[i]) / den1 * B[:, i]
-            if den2 > 0.0:
-                nb[:, i] += (knots[i + k] - u) / den2 * B[:, i + 1]
-        B = nb
+        # Column i mixes B_i and B_{i+1}; a zero-width span (repeated knot)
+        # drops its term, here by dividing by inf.
+        den1 = knots[k - 1 : nk - 1] - knots[:cols]
+        den2 = knots[k:] - knots[1 : cols + 1]
+        left = (u[:, None] - knots[:cols]) / np.where(den1 > 0.0, den1, np.inf) * B[:, :cols]
+        right = (knots[k:] - u[:, None]) / np.where(den2 > 0.0, den2, np.inf) * B[:, 1:]
+        # + 0.0 turns the dropped terms' -0.0 into 0.0, so no entry is -0.0
+        B = left + 0.0
+        B += right
     return B
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from alphasign.basis import (
     SplineConfig,
+    _basis_matrix,
     bic_penalty,
     bic_score,
     bspline_basis,
@@ -221,3 +222,38 @@ def test_knot_selection_failure_modes(small_sim):
     bad_y[3, 1] = np.inf
     with pytest.raises(ContractError, match="non-finite"):
         select_knots_bic(bad_y, tiny_f, candidates=[1, 2])
+
+
+def _loop_basis_matrix(knots, order, u):
+    """Cox-de Boor recursion one column at a time."""
+    nk = knots.size
+    left, right = knots[:-1], knots[1:]
+    B = ((u[:, None] >= left) & (u[:, None] < right)).astype(float)
+    at_end = u == knots[-1]
+    if np.any(at_end):
+        last = np.nonzero(right > left)[0][-1]
+        B[at_end, :] = 0.0
+        B[at_end, last] = 1.0
+    for k in range(2, order + 1):
+        cols = nk - k
+        nb = np.zeros((u.size, cols))
+        for i in range(cols):
+            den1 = knots[i + k - 1] - knots[i]
+            den2 = knots[i + k] - knots[i + 1]
+            if den1 > 0.0:
+                nb[:, i] += (u - knots[i]) / den1 * B[:, i]
+            if den2 > 0.0:
+                nb[:, i] += (knots[i + k] - u) / den2 * B[:, i + 1]
+        B = nb
+    return B
+
+
+def test_basis_matrix_matches_column_loop_bit_for_bit():
+    for T in (7, 60, 301):
+        u = np.arange(1, T + 1) / T
+        for order in (1, 2, 3, 4):
+            for n in (0, 1, 2, 5, 11):
+                knots = make_knots(n, order)
+                got = _basis_matrix(knots, order, u)
+                want = _loop_basis_matrix(knots, order, u)
+                assert got.tobytes() == want.tobytes(), (T, order, n)
