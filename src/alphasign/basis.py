@@ -103,9 +103,7 @@ def _basis_matrix(knots: np.ndarray, order: int, u: np.ndarray) -> np.ndarray:
         den2 = knots[k:] - knots[1 : cols + 1]
         left = (u[:, None] - knots[:cols]) / np.where(den1 > 0.0, den1, np.inf) * B[:, :cols]
         right = (knots[k:] - u[:, None]) / np.where(den2 > 0.0, den2, np.inf) * B[:, 1:]
-        # + 0.0 turns the dropped terms' -0.0 into 0.0, so no entry is -0.0
-        B = left + 0.0
-        B += right
+        B = left + right
     return B
 
 
