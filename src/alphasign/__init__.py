@@ -63,7 +63,6 @@ from .harness import (
     resolve_workers,
     rolling_windows,
     run_experiment,
-    run_replication,
     run_replication_results,
 )
 from .panels import Panel, read_factors, read_panel, write_panel

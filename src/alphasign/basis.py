@@ -400,6 +400,15 @@ def bic_score(panel, factors, config: SplineConfig) -> float:
     return math.log(rss / (T * N)) + bic_penalty(N, T, f.shape[1], config)
 
 
+def _check_knots(knots) -> int | str:
+    """A knot policy: a non-negative integer count (returned as int) or "auto"."""
+    if isinstance(knots, str) and knots == "auto":
+        return knots
+    if isinstance(knots, (int, np.integer)) and not isinstance(knots, bool) and knots >= 0:
+        return int(knots)
+    raise ContractError(f"knots must be a non-negative integer or 'auto', got {knots!r}")
+
+
 def default_knot_candidates(T: int) -> range:
     """Default search range 1 .. ceil(T^(1/5)) + 4."""
     return range(1, math.ceil(T ** 0.2) + 5)

@@ -7,9 +7,11 @@ Subcommands: `test` (run the battery on a panel/factor file pair),
 table for the knot count). Exit codes: 0 success, 1 usage error, 2 data
 error, 3 numerical failure.
 
-A flat key=value config file can stand in for flags (--config FILE);
-explicit flags win on conflict. The ALPHASIGN_THREADS environment
-variable caps replication parallelism.
+`--knots` (on `test`, `rolling`, `simulate-size` and `simulate-power`)
+takes an interior-knot count or `auto`. The simulate commands run their
+replications on `--workers` processes (default: one per core). A flat
+key=value config file can stand in for flags (--config FILE); explicit
+flags win on conflict.
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_knots(text: str):
-    if text in ("auto", "auto-strict"):
-        return text
     try:
-        return int(text)
-    except ValueError:
+        return basis._check_knots(text if text == "auto" else int(text))
+    except (ValueError, ContractError):
         raise _UsageError(f"invalid --knots value: {text!r}") from None
 
 
@@ -81,8 +81,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"alphasign {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_common(p):
-        p.add_argument("--knots", default="auto", help="interior knots: integer, auto, or auto-strict")
+    def add_common(p, knots=True):
+        if knots:
+            p.add_argument("--knots", default="auto", help="interior knots: integer or auto")
         p.add_argument("--order", type=int, default=3, help="spline order (default 3)")
         p.add_argument("--out", default="-", help="output file (default stdout)")
         p.add_argument("--config", default=None, help="flat key=value config file; flags win")
@@ -130,7 +131,7 @@ def _build_parser() -> _Parser:
     p_knots.add_argument("panel")
     p_knots.add_argument("factors")
     p_knots.add_argument("--candidates", default=None, help="comma list of knot counts")
-    add_common(p_knots)
+    add_common(p_knots, knots=False)
 
     return parser
 
@@ -259,7 +260,7 @@ def _cmd_simulate_power(args) -> int:
         alpha = AlphaSpec(sparsity=args.sparsity, strength=c, mode=args.alpha_mode)
         config = _experiment_config(args, alpha)
         report = run_experiment(config, workers=args.workers)
-        for name in config.tests:
+        for name in TEST_NAMES:
             rows.append(
                 {
                     "example": args.example,

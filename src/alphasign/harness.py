@@ -17,11 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .basis import _check_knots, _panel_and_factors, select_knots_bic
 from .dgp import AlphaSpec, ErrorScenario, simulate_panel
 from .errors import AlphaSignError, ContractError
 from .stat_tests import TEST_NAMES, TestResult, run_all_tests
-
-THREADS_ENV = "ALPHASIGN_THREADS"
 
 # A run with more than this share of failed replications is flagged invalid.
 MAX_FAILURE_SHARE = 0.05
@@ -34,9 +33,9 @@ ROLLING_LEVELS = (0.01, 0.05)
 class ExperimentConfig:
     """Complete description of one simulation cell.
 
-    knots: a fixed interior-knot count, "auto" (information-criterion
-    selection on replication 0, reused for the whole cell), or
-    "auto-strict" (re-selected inside every replication).
+    knots: a fixed non-negative interior-knot count, or "auto"
+    (information-criterion selection on replication 0, reused for the
+    whole cell).
     """
 
     example: int
@@ -47,7 +46,6 @@ class ExperimentConfig:
     seed: int
     alpha_spec: AlphaSpec = AlphaSpec()
     gamma: float = 0.05
-    tests: tuple[str, ...] = TEST_NAMES
     knots: int | str = "auto"
     order: int = 3
 
@@ -56,16 +54,7 @@ class ExperimentConfig:
             raise ContractError("reps must be >= 1")
         if not 0.0 < self.gamma < 1.0:
             raise ContractError("gamma must lie in (0, 1)")
-        if isinstance(self.knots, str):
-            if self.knots not in ("auto", "auto-strict"):
-                raise ContractError(
-                    "knots must be an integer, 'auto' or 'auto-strict'"
-                )
-        elif int(self.knots) < 0:
-            raise ContractError("knots must be >= 0")
-        unknown = set(self.tests) - set(TEST_NAMES)
-        if unknown:
-            raise ContractError(f"unknown test names: {sorted(unknown)}")
+        object.__setattr__(self, "knots", _check_knots(self.knots))
 
 
 @dataclass
@@ -73,9 +62,10 @@ class ExperimentReport:
     """Aggregated cell output.
 
     rejection_rates are computed over successful replications at the
-    configured level. p_values maps each requested test to a reps-long
-    array with NaN rows for failed replications. valid is False when more
-    than 5% of the replications failed.
+    configured level. p_values maps each name in TEST_NAMES to a
+    reps-long array with NaN rows for failed replications. valid is False
+    when more than 5% of the replications failed. chosen_knots is the
+    interior-knot count every replication ran at.
     """
 
     config: ExperimentConfig
@@ -83,7 +73,7 @@ class ExperimentReport:
     failures: int
     wall_time: float
     valid: bool
-    chosen_knots: int | None
+    chosen_knots: int
     p_values: dict[str, np.ndarray] = field(repr=False)
 
 
@@ -96,18 +86,15 @@ def replication_rng(seed: int, rep_index: int) -> np.random.Generator:
     )
 
 
-def resolve_knots(config: ExperimentConfig) -> int | str:
+def resolve_knots(config: ExperimentConfig) -> int:
     """Materialize the cell's knot choice.
 
     "auto" selects on replication 0's simulated panel and returns the
     fixed count used for every replication of the cell. Integers pass
-    through; "auto-strict" stays symbolic (selection happens per
-    replication).
+    through.
     """
     if config.knots != "auto":
         return config.knots
-    from .basis import select_knots_bic
-
     rng = replication_rng(config.seed, 0)
     sim = simulate_panel(
         config.example, config.scenario, config.alpha_spec, config.N, config.T, rng
@@ -120,8 +107,6 @@ def run_replication_results(
 ) -> list[TestResult]:
     """Simulate replication rep_index and run the full battery on it."""
     knots = resolve_knots(config)
-    if knots == "auto-strict":
-        knots = "auto"
     rng = replication_rng(config.seed, rep_index)
     sim = simulate_panel(
         config.example, config.scenario, config.alpha_spec, config.N, config.T, rng
@@ -129,43 +114,31 @@ def run_replication_results(
     return run_all_tests(sim.panel, sim.factors, knots=knots, order=config.order)
 
 
-def run_replication(config: ExperimentConfig, rep_index: int) -> dict[str, float]:
-    """P-values of the requested tests for one replication."""
-    results = run_replication_results(config, rep_index)
-    return {r.name: r.p_value for r in results if r.name in config.tests}
-
-
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else the env cap, else cpu_count."""
+    """Worker count: the explicit argument (at least 1), else cpu_count."""
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ContractError(
-                f"{THREADS_ENV} must be an integer, got {env!r}"
-            ) from exc
     return os.cpu_count() or 1
 
 
 def _replication_worker(args: tuple[ExperimentConfig, int]):
+    """(rep index, the six p-values in TEST_NAMES order or None on failure)."""
     config, idx = args
     try:
-        return idx, run_replication(config, idx)
+        return idx, tuple(r.p_value for r in run_replication_results(config, idx))
     except (AlphaSignError, np.linalg.LinAlgError):
         return idx, None
 
 
 def collect_replications(
     config: ExperimentConfig, workers: int | None = None
-) -> list[dict[str, float] | None]:
-    """All replications' p-value dicts in rep order; None marks a failure."""
+) -> list[tuple[float, ...] | None]:
+    """Each replication's p-values in TEST_NAMES order, in rep order; None
+    marks a failure."""
     eff = replace(config, knots=resolve_knots(config))
     n_workers = resolve_workers(workers)
     jobs = [(eff, i) for i in range(config.reps)]
-    out: list[dict[str, float] | None] = [None] * config.reps
+    out: list[tuple[float, ...] | None] = [None] * config.reps
     if n_workers == 1 or config.reps < 4:
         for job in jobs:
             idx, res = _replication_worker(job)
@@ -188,9 +161,9 @@ def run_experiment(
     failures = sum(1 for r in rows if r is None)
     p_values: dict[str, np.ndarray] = {}
     rates: dict[str, float] = {}
-    for name in config.tests:
+    for j, name in enumerate(TEST_NAMES):
         vals = np.array(
-            [r[name] if r is not None else np.nan for r in rows], dtype=float
+            [r[j] if r is not None else np.nan for r in rows], dtype=float
         )
         p_values[name] = vals
         ok = vals[~np.isnan(vals)]
@@ -202,7 +175,7 @@ def run_experiment(
         failures=failures,
         wall_time=wall,
         valid=failures <= MAX_FAILURE_SHARE * config.reps,
-        chosen_knots=eff.knots if isinstance(eff.knots, int) else None,
+        chosen_knots=eff.knots,
         p_values=p_values,
     )
 
@@ -236,14 +209,7 @@ def rolling_windows(
     the window). Rejection ratios report, per test and each level in
     ROLLING_LEVELS, the share of windows whose p-value falls below it.
     """
-    Y = np.asarray(panel, dtype=float)
-    F = np.asarray(factors, dtype=float)
-    if F.ndim == 1:
-        F = F[:, None]
-    if Y.ndim != 2:
-        raise ContractError("panel must be T x N")
-    if Y.shape[0] != F.shape[0]:
-        raise ContractError("panel and factors must have the same number of rows")
+    Y, F = _panel_and_factors(panel, factors)
     T = Y.shape[0]
     if not 2 <= window <= T:
         raise ContractError(f"window must lie in [2, T={T}], got {window}")

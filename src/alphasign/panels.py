@@ -170,7 +170,7 @@ def write_report(path_or_buffer, report, comments: list[str]):
             fh.write(line + "\n")
         writer = csv.writer(fh)
         writer.writerow(["test", "rejection_rate", "reps", "failures", "valid"])
-        for name in report.config.tests:
+        for name in report.rejection_rates:
             writer.writerow(
                 [
                     name,

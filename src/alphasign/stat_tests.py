@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DesignMatrix, SplineConfig, build_design, fit_panel, select_knots_bic
+from .basis import (
+    DesignMatrix,
+    SplineConfig,
+    _check_knots,
+    _panel_and_factors,
+    build_design,
+    fit_panel,
+    select_knots_bic,
+)
 from .blas import one_blas_thread
 from .errors import AlphaSignError, ContractError, DegenerateStatisticError
 from .spatial import MomentEstimates, SpatialLocation, _row_signs, moment_estimates, spatial_median_scale
@@ -375,22 +383,15 @@ def run_all_tests(
 
     The sieve fit happens once, the spatial location/scale iteration runs
     once on the centered-design residuals, and every statistic reuses
-    those shared pieces. knots is either a fixed interior-knot count or
-    "auto" for information-criterion selection over the default
-    candidates. MNT's residual dof uses the factor count p. Errors from
-    any stage are re-raised with the stage name prefixed. OpenBLAS runs
-    at one thread for the call (see `alphasign.blas`).
+    those shared pieces. knots is either a fixed non-negative interior-knot
+    count or "auto" for information-criterion selection over the default
+    candidates; anything else raises ContractError. MNT's residual dof
+    uses the factor count p. Errors from any stage are re-raised with the
+    stage name prefixed. OpenBLAS runs at one thread for the call (see
+    `alphasign.blas`).
     """
-    Y = np.asarray(panel, dtype=float)
-    F = np.asarray(factors, dtype=float)
-    if F.ndim == 1:
-        F = F[:, None]
-    if Y.ndim != 2:
-        raise ContractError(f"panel must be T x N, got ndim={Y.ndim}")
-    if Y.shape[0] != F.shape[0]:
-        raise ContractError(
-            f"panel has {Y.shape[0]} rows but factors have {F.shape[0]}"
-        )
+    Y, F = _panel_and_factors(panel, factors)
+    knots = _check_knots(knots)
     T, N = Y.shape
     p = F.shape[1]
 
@@ -401,13 +402,11 @@ def run_all_tests(
             raise type(exc)(f"{name}: {exc}") from exc
 
     if knots == "auto":
-        n_knots = _stage(
+        knots = _stage(
             "knot-selection",
             lambda: select_knots_bic(Y, F, order=order),
         )
-    else:
-        n_knots = int(knots)
-    config = SplineConfig(n_knots, order)
+    config = SplineConfig(knots, order)
     design = _stage("design", lambda: build_design(F, config))
     fit = _stage("fit", lambda: fit_panel(Y, design))
     loc = _stage(

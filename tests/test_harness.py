@@ -1,5 +1,7 @@
 """Replication harness: seeding, worker resolution, aggregation, rolling windows."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,18 +9,17 @@ from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, DegenerateScaleError
 from alphasign.harness import (
     MAX_FAILURE_SHARE,
-    THREADS_ENV,
     ExperimentConfig,
+    _replication_worker,
     collect_replications,
     replication_rng,
     resolve_knots,
     resolve_workers,
     rolling_windows,
     run_experiment,
-    run_replication,
     run_replication_results,
 )
-from alphasign.stat_tests import TEST_NAMES
+from alphasign.stat_tests import TEST_NAMES, run_all_tests
 
 
 def _tiny_config(**overrides):
@@ -46,9 +47,29 @@ def test_experiment_config_validation():
         _tiny_config(knots="automatic")
     with pytest.raises(ContractError):
         _tiny_config(knots=-1)
-    with pytest.raises(ContractError):
-        _tiny_config(tests=("CSS", "XYZ"))
-    _tiny_config(knots="auto-strict")  # legal symbolic choice
+
+
+@pytest.mark.parametrize("bad", ["Auto", "automatic", "3", 2.7, 2.0, True, -1, None])
+def test_knots_must_be_a_count_or_auto(bad):
+    sim = simulate_panel(
+        1, ErrorScenario("normal"), AlphaSpec(), 6, 40, np.random.default_rng(5)
+    )
+    with pytest.raises(ContractError, match="knots must be a non-negative integer or 'auto'"):
+        run_all_tests(sim.panel, sim.factors, knots=bad)
+    with pytest.raises(ContractError, match="knots must be a non-negative integer or 'auto'"):
+        rolling_windows(sim.panel, sim.factors, window=30, knots=bad)
+    with pytest.raises(ContractError, match="knots must be a non-negative integer or 'auto'"):
+        _tiny_config(knots=bad)
+
+
+def test_numpy_integer_knots_are_plain_counts():
+    config = _tiny_config(knots=np.int64(1), reps=2)
+    assert type(config.knots) is int and config.knots == 1
+    report = run_experiment(config, workers=1)
+    assert type(report.chosen_knots) is int and report.chosen_knots == 1
+    plain = run_experiment(_tiny_config(knots=1, reps=2), workers=1)
+    for name in TEST_NAMES:
+        assert np.array_equal(report.p_values[name], plain.p_values[name])
 
 
 def test_replication_rng_streams():
@@ -63,17 +84,10 @@ def test_replication_rng_streams():
         replication_rng(123, -1)
 
 
-def test_resolve_workers(monkeypatch):
+def test_resolve_workers():
     assert resolve_workers(3) == 3
     assert resolve_workers(0) == 1  # floor at one worker
-    monkeypatch.setenv(THREADS_ENV, "2")
-    assert resolve_workers() == 2
-    assert resolve_workers(5) == 5  # explicit argument beats the env cap
-    monkeypatch.setenv(THREADS_ENV, "two")
-    with pytest.raises(ContractError):
-        resolve_workers()
-    monkeypatch.delenv(THREADS_ENV)
-    assert resolve_workers() >= 1
+    assert resolve_workers() == (os.cpu_count() or 1)
 
 
 def test_resolve_knots_materializes_auto():
@@ -82,7 +96,10 @@ def test_resolve_knots_materializes_auto():
     assert isinstance(chosen, int)
     assert resolve_knots(auto) == chosen  # selection is seeded, hence stable
     assert resolve_knots(_tiny_config(knots=4)) == 4
-    assert resolve_knots(_tiny_config(knots="auto-strict")) == "auto-strict"
+    # a replication run directly resolves "auto" the way the cell does
+    fixed = _tiny_config(knots=chosen)
+    for a, b in zip(run_replication_results(auto, 1), run_replication_results(fixed, 1)):
+        assert a == b
 
 
 def test_run_experiment_tiny_cell_is_deterministic():
@@ -111,27 +128,31 @@ def test_run_experiment_auto_knots_reports_choice():
 
 
 def test_replication_results_align_with_pvalue_dict():
-    config = _tiny_config(tests=("CSS", "CSM", "CC"))
+    # the worker's p-value row follows TEST_NAMES, which run_experiment
+    # turns into its p_values dict
+    config = _tiny_config()
     results = run_replication_results(config, 0)
     assert [r.name for r in results] == list(TEST_NAMES)
-    pvals = run_replication(config, 0)
-    assert set(pvals) == {"CSS", "CSM", "CC"}
-    by_name = {r.name: r.p_value for r in results}
-    for name, p in pvals.items():
-        assert p == by_name[name]
+    idx, pvals = _replication_worker((config, 0))
+    assert idx == 0
+    assert pvals == tuple(r.p_value for r in results)
+    report = run_experiment(_tiny_config(reps=1), workers=1)
+    assert {name: p[0] for name, p in report.p_values.items()} == dict(
+        zip(TEST_NAMES, pvals)
+    )
 
 
 def test_failed_replications_are_flagged(monkeypatch):
     import alphasign.harness as harness
 
-    real = harness.run_replication
+    real = harness.run_replication_results
 
     def flaky(config, rep_index):
         if rep_index == 1:
             raise DegenerateScaleError("synthetic failure")
         return real(config, rep_index)
 
-    monkeypatch.setattr(harness, "run_replication", flaky)
+    monkeypatch.setattr(harness, "run_replication_results", flaky)
     config = _tiny_config(reps=4)
     rows = collect_replications(config, workers=1)
     assert rows[1] is None
@@ -146,6 +167,18 @@ def test_failed_replications_are_flagged(monkeypatch):
         assert report.rejection_rates[name] == pytest.approx(
             float(np.mean(ok < config.gamma))
         )
+
+
+def test_pool_matches_serial_bit_for_bit():
+    config = _tiny_config(reps=4)
+    serial = run_experiment(config, workers=1)
+    pooled = run_experiment(config, workers=2)  # 4 reps at 2 workers take the pool
+    assert pooled.failures == serial.failures == 0
+    assert pooled.chosen_knots == serial.chosen_knots
+    assert list(pooled.p_values) == list(serial.p_values) == list(TEST_NAMES)
+    for name in TEST_NAMES:
+        assert np.array_equal(pooled.p_values[name], serial.p_values[name])
+    assert pooled.rejection_rates == serial.rejection_rates
 
 
 def test_rolling_windows_mechanics():
@@ -177,6 +210,11 @@ def test_rolling_window_guards():
         rolling_windows(sim.panel, sim.factors, window=20, tests=("CSS", "NOPE"), knots=1)
     with pytest.raises(ContractError):
         rolling_windows(sim.panel[:20], sim.factors, window=10, knots=1)
+    # a non-finite panel is refused on entry, not inside the first window's fit
+    broken = sim.panel.copy()
+    broken[-1, 0] = np.nan
+    with pytest.raises(ContractError, match="^panel contains non-finite values$"):
+        rolling_windows(broken, sim.factors, window=10, knots=1)
 
 
 def test_rolling_windows_with_periodic_panel_repeat():

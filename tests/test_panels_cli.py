@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from alphasign.cli import main
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import PanelFormatError
-from alphasign.harness import THREADS_ENV
 from alphasign.panels import (
     Panel,
     format_float,
@@ -296,7 +295,24 @@ def test_cli_config_file_defaults_and_flag_priority(cli_files, capsys):
         assert mistyped in err and key in err
 
 
-def test_cli_thread_env_misuse_is_reported(cli_files, monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "not-a-number")
-    code = main(["simulate-size", "--N", "10", "--T", "70", "--reps", "2", "--knots", "1", "--out", str(cli_files["root"] / "env.csv")])
-    assert code == 2
+def test_cli_knots_flag_takes_a_count_or_auto(cli_files, capsys):
+    panel, factors = cli_files["panel"], cli_files["factors"]
+    for argv in (
+        ["test", panel, factors],
+        ["rolling", panel, factors, "--window", "75"],
+        ["simulate-size", "--N", "10", "--T", "70", "--reps", "2"],
+    ):
+        for bad in ("automatic", "Auto", "2.5", "-1"):
+            assert main(argv + ["--knots", bad]) == 1, (argv[0], bad)
+            assert f"invalid --knots value: {bad!r}" in capsys.readouterr().err
+
+    # the knot table searches its own candidates, so it takes no --knots,
+    # neither as a flag nor as a config-file key
+    out = str(cli_files["root"] / "knots_flag.csv")
+    assert main(["knots", panel, factors, "--knots", "99", "--out", out]) == 1
+    cfg = str(cli_files["root"] / "knots.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("knots=99\n")
+    capsys.readouterr()
+    assert main(["knots", panel, factors, "--config", cfg, "--out", out]) == 1
+    assert "config file key 'knots' is not a knots option" in capsys.readouterr().err
