@@ -2,11 +2,12 @@
 
 A panel file is a header row (observation-label column name followed by
 asset or factor names) and one row per observation whose first cell is
-the label. All data cells must be numeric and present; an optional column
-named "rf" is subtracted from every other column on read (excess
-returns) and then dropped. Lines starting with '#' are provenance
-comments and are skipped. Floats are written with 17 significant digits,
-which round-trips IEEE doubles exactly.
+the label; each row is one line. All data cells must be present and
+finite numbers in numpy's float grammar (no digit separators, ASCII
+digits only); an optional column named "rf" is subtracted from every
+other column on read (excess returns) and then dropped. Lines starting
+with '#' are provenance comments and are skipped. Floats are written
+with 17 significant digits, which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,15 +59,22 @@ def provenance_line(config_items: dict, seed=None) -> str:
     return f"# alphasign {__version__} config={digest} seed={seed_txt}"
 
 
-def _read_rows(path: str) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        return [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+# numpy's C tokenizer and float parser read every cell. The header, and the
+# search for a faulty cell after a failed parse, split lines the same way.
+_CSV = dict(delimiter=",", comments=None, quotechar='"', encoding=None)
 
 
-def _parse_panel_rows(rows: list[list[str]], path: str) -> Panel:
-    if not rows:
-        raise PanelFormatError(f"{path}: file has no header row")
-    header = rows[0]
+def _records(fh):
+    """The header and data lines: blank and '#' comment lines are dropped."""
+    return (line for line in fh if line.strip("\n") and not line.startswith("#"))
+
+
+def _cells(line: str) -> list[str]:
+    """One line's cells, unquoted but not stripped."""
+    return np.loadtxt([line], dtype=object, ndmin=1, **_CSV).tolist()
+
+
+def _header_columns(header: list[str], path: str) -> list[str]:
     if len(header) < 2:
         raise PanelFormatError(f"{path}: header must name at least one series")
     columns = [c.strip() for c in header[1:]]
@@ -76,31 +85,72 @@ def _parse_panel_rows(rows: list[list[str]], path: str) -> Panel:
         if name in seen:
             raise PanelFormatError(f"{path}: duplicate column name {name!r}")
         seen.add(name)
-    body = rows[1:]
-    if not body:
-        raise PanelFormatError(f"{path}: no data rows")
-    width = len(header)
-    index = []
-    values = np.empty((len(body), len(columns)))
-    for i, row in enumerate(body):
-        line_no = i + 2
-        if len(row) != width:
-            raise PanelFormatError(
-                f"{path}: row {line_no} has {len(row)} cells, expected {width}"
-            )
-        index.append(row[0].strip())
-        for j, cell in enumerate(row[1:]):
-            text = cell.strip()
-            if not text:
-                raise PanelFormatError(
-                    f"{path}: row {line_no}, column {columns[j]!r} is empty"
+    return columns
+
+
+def _cell_fault(path: str, columns: list[str], reason: str) -> PanelFormatError:
+    """The error for the first data row, in file order, that does not parse
+    to finite numbers, naming its row and column.
+
+    Runs only after the table parse has raised, or returned a wrong width
+    or a non-finite cell; it rereads the file and parses one row, then
+    one cell, at a time with the same settings.
+    """
+    width = len(columns) + 1
+    with open(path) as fh:
+        records = _records(fh)
+        next(records)  # the header
+        for row, line in enumerate(records, start=2):
+            cells = _cells(line)
+            if len(cells) != width:
+                return PanelFormatError(
+                    f"{path}: row {row} has {len(cells)} cells, expected {width}"
                 )
             try:
-                values[i, j] = float(text)
+                if np.isfinite(np.loadtxt([line], usecols=range(1, width), **_CSV)).all():
+                    continue
             except ValueError:
-                raise PanelFormatError(
-                    f"{path}: row {line_no}, column {columns[j]!r} is not numeric: {text!r}"
-                ) from None
+                pass
+            for j, cell in enumerate(cells[1:], start=1):
+                where = f"{path}: row {row}, column {columns[j - 1]!r}"
+                text = cell.strip()
+                if not text:
+                    return PanelFormatError(f"{where} is empty")
+                try:
+                    (value,) = np.loadtxt([line], usecols=j, ndmin=1, **_CSV)
+                except ValueError:
+                    return PanelFormatError(f"{where} is not numeric: {text!r}")
+                if not np.isfinite(value):
+                    return PanelFormatError(f"{where} is not finite: {text!r}")
+    return PanelFormatError(f"{path}: {reason}")
+
+
+def _read_table(path: str) -> Panel:
+    index: list[str] = []
+
+    def label(cell: str) -> float:
+        index.append(cell.strip())
+        return 0.0
+
+    with open(path) as fh:
+        records = _records(fh)
+        header = next(records, None)
+        if header is None:
+            raise PanelFormatError(f"{path}: file has no header row")
+        columns = _header_columns(_cells(header), path)
+        first = next(records, None)
+        if first is None:
+            raise PanelFormatError(f"{path}: no data rows")
+        try:
+            # column 0 holds the labels; `label` collects them and leaves 0.0
+            table = np.loadtxt(
+                itertools.chain([first], records), ndmin=2, converters={0: label}, **_CSV
+            )
+        except ValueError as exc:
+            raise _cell_fault(path, columns, str(exc)) from None
+    if table.shape[1] != len(columns) + 1 or not np.isfinite(table).all():
+        raise _cell_fault(path, columns, "table does not parse")
+    values = np.ascontiguousarray(table[:, 1:])
     if RF_COLUMN in columns:
         k = columns.index(RF_COLUMN)
         rf = values[:, k]
@@ -113,28 +163,36 @@ def _parse_panel_rows(rows: list[list[str]], path: str) -> Panel:
 
 def read_panel(path: str) -> Panel:
     """Read a return panel; subtracts an 'rf' column when present."""
-    return _parse_panel_rows(_read_rows(path), path)
+    return _read_table(path)
 
 
 def read_factors(path: str) -> Panel:
     """Read a factor matrix; the file format matches return panels."""
-    return _parse_panel_rows(_read_rows(path), path)
+    return _read_table(path)
+
+
+def _label_cell(label) -> str:
+    """A row's first cell and delimiter, quoted as csv quotes a full row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([label, ""])
+    return buf.getvalue()[: -len(csv.excel.lineterminator)]
 
 
 def write_panel(path: str, values, columns, index=None, comments: list[str] | None = None):
     """Write a panel file; floats carry 17 significant digits."""
     values = np.asarray(values, dtype=float)
-    T = values.shape[0]
+    T, N = values.shape
     if index is None:
         index = [str(i) for i in range(1, T + 1)]
     with open(path, "w", newline="") as fh:
         for line in comments or []:
             fh.write(line if line.startswith("#") else f"# {line}")
             fh.write("\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + list(columns))
+        csv.writer(fh).writerow(["t"] + list(columns))
+        # one format string writes a row's numbers as format_float would
+        numbers = ",".join(["%.17g"] * N) + csv.excel.lineterminator
         for label, row in zip(index, values):
-            writer.writerow([label] + [format_float(x) for x in row])
+            fh.write(_label_cell(label) + numbers % tuple(row.tolist()))
 
 
 def _open_out(path_or_buffer):

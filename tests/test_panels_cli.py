@@ -82,6 +82,141 @@ def test_malformed_panels_raise_with_coordinates(tmp_path, body, fragment):
         read_panel(path)
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("# only a comment\n", "file has no header row"),
+        ("t, ,B\n1,1,2\n", "header column 2 is empty"),
+        ("t,A\n1,1,2\n", "row 2 has 3 cells, expected 2"),
+        ("t,A,B\n1,1,2\n2,3\n3,4,5\n", "row 3 has 2 cells, expected 3"),
+        ("t,A,B\n1,1,2\n2,3,4,5\n3,4,5\n", "row 3 has 4 cells, expected 3"),
+        ("t,A\n1,\n", "row 2, column 'A' is empty"),
+        ("t,A,B\n1,1,2\n2,3, \n", "row 3, column 'B' is empty"),
+        ("t,A\n1,zebra\n", "row 2, column 'A' is not numeric: 'zebra'"),
+        ("t,A,B\n1,1,2\n2,3,4\n3,5,x\n", "row 4, column 'B' is not numeric: 'x'"),
+        ("t,A\n1,\"1,5\"\n", "row 2, column 'A' is not numeric: '1,5'"),
+        # Python's float() takes these; the panel grammar does not
+        ("t,A\n1,1_000\n", "row 2, column 'A' is not numeric: '1_000'"),
+        ("t,A\n1,\uff11\n", "row 2, column 'A' is not numeric: '\uff11'"),
+        ("t,A,B\n1,1,nan\n", "row 2, column 'B' is not finite: 'nan'"),
+        ("t,A\n1,2\n2,-inf\n", "row 3, column 'A' is not finite: '-inf'"),
+        ("t,A,B\n1,1e400,2\n", "row 2, column 'A' is not finite: '1e400'"),
+        # the first fault in file order is named, whatever its kind
+        ("t,A,B\n1,1,NaN\n2,3\n", "row 2, column 'B' is not finite: 'NaN'"),
+        ("t,rf\n1,0.25\n", "only an 'rf' column was provided"),
+    ],
+)
+def test_malformed_panel_messages_name_row_and_column(tmp_path, body, message):
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w") as fh:
+        fh.write(body)
+    with pytest.raises(PanelFormatError) as info:
+        read_panel(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def _reference_read(path):
+    """Per-cell reader: csv splits the rows, float() parses each stripped cell."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
+    columns = [c.strip() for c in rows[0][1:]]
+    index = [row[0].strip() for row in rows[1:]]
+    values = np.empty((len(rows) - 1, len(columns)))
+    for i, row in enumerate(rows[1:]):
+        for j, cell in enumerate(row[1:]):
+            values[i, j] = float(cell.strip())
+    if "rf" in columns:
+        k = columns.index("rf")
+        values = np.delete(values, k, axis=1) - values[:, k][:, None]
+        columns.remove("rf")
+    return values, tuple(columns), tuple(index)
+
+
+_name_text = st.text(alphabet='ab,"# \u00e9', min_size=1, max_size=6)
+_cell_formats = ("{!r}", "{:.17g}", "{:.6e}", "{:.3f}")
+_padding = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _panel_files(draw):
+    """A valid panel file: (text, newline) with quoted names, comments, rf."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 6))
+    columns = draw(
+        st.lists(
+            _name_text.filter(lambda c: c.strip() and c.strip() != "rf"),
+            min_size=n, max_size=n, unique_by=str.strip,
+        )
+    )
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, n)), "rf")
+    labels = draw(
+        st.lists(_name_text.filter(lambda c: not c.startswith("#")), min_size=t, max_size=t)
+    )
+    rows = []
+    for label in labels:
+        cells = []
+        for _ in columns:
+            x = draw(st.floats(allow_nan=False, allow_infinity=False))
+            fmt = draw(st.sampled_from(_cell_formats))
+            cells.append(draw(_padding) + fmt.format(x) + draw(_padding))
+        rows.append([label] + cells)
+    buf = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(buf, quoting=quoting, lineterminator="\n").writerows([["t"] + columns] + rows)
+    lines = buf.getvalue().splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["# note, \"quoted\"\n", "#\n", "\n"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(lines), newline
+
+
+@given(_panel_files())
+def test_reader_matches_per_cell_reference(tmp_path_factory, panel_file):
+    text, newline = panel_file
+    path = str(tmp_path_factory.getbasetemp() / "generated.csv")
+    with open(path, "w", newline=newline) as fh:
+        fh.write(text)
+    values, columns, index = _reference_read(path)
+    panel = read_panel(path)
+    assert panel.columns == columns
+    assert panel.index == index
+    assert panel.values.shape == values.shape
+    assert panel.values.tobytes() == values.tobytes()
+    assert panel.values.flags.c_contiguous
+    assert read_factors(path).values.tobytes() == values.tobytes()
+
+
+def _reference_write(path, values, columns, index):
+    """The per-cell writer: csv writes every cell, each float via format_float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + list(columns))
+        for label, row in zip(index, values):
+            writer.writerow([label] + [format_float(x) for x in row])
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.floats(), min_size=n, max_size=n), min_size=1, max_size=5),
+            st.lists(st.text(max_size=5), min_size=n, max_size=n),
+        )
+    ),
+    st.lists(st.text(max_size=5), min_size=5, max_size=5),
+)
+def test_writer_bytes_match_per_cell_reference(tmp_path_factory, table, labels):
+    rows, columns = table
+    values = np.array(rows)
+    index = labels[: len(rows)]
+    ours = tmp_path_factory.getbasetemp() / "written.csv"
+    reference = tmp_path_factory.getbasetemp() / "reference.csv"
+    write_panel(str(ours), values, columns, index=index)
+    _reference_write(str(reference), values, columns, index)
+    assert ours.read_bytes() == reference.read_bytes()
+
+
 def test_provenance_line_is_order_insensitive():
     a = provenance_line({"alpha": 1, "beta": "x"}, seed=9)
     b = provenance_line({"beta": "x", "alpha": 1}, seed=9)
@@ -182,6 +317,13 @@ def test_cli_exit_codes(cli_files, capsys):
     assert main(["knots", cli_files["panel"], cli_files["short"]]) == 2
     assert "data error: panel has 80 rows but factors have 79" in capsys.readouterr().err
     assert main(["test", cli_files["zeros"], cli_files["factors"], "--knots", "1"]) == 3
+    nan_panel = str(cli_files["root"] / "nan_panel.csv")
+    values = np.ones((80, 2))
+    values[40, 1] = np.nan
+    write_panel(nan_panel, values, ["A", "B"])
+    capsys.readouterr()
+    assert main(["test", nan_panel, cli_files["factors"], "--knots", "1"]) == 2
+    assert "row 42, column 'B' is not finite: 'nan'" in capsys.readouterr().err
     assert main(["--version"]) == 0
     capsys.readouterr()  # swallow usage noise
     # knot candidates must be a comma list of integers
