@@ -17,6 +17,7 @@ flags win on conflict.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -71,9 +72,12 @@ def _parse_candidates(text: str) -> list[int]:
 
 def _parse_grid(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        grid = [float(x) for x in text.split(",") if x.strip()]
+        if not all(math.isfinite(c) for c in grid):
+            raise ValueError(text)
     except ValueError:
         raise _UsageError(f"invalid --strength-grid value: {text!r}") from None
+    return grid
 
 
 def _build_parser() -> _Parser:
@@ -186,12 +190,6 @@ def _apply_config_file(parser: _Parser, argv: list[str]):
     sub.set_defaults(**defaults)
 
 
-def _out_stream(out: str):
-    if out == "-":
-        return sys.stdout
-    return out
-
-
 def _cmd_test(args) -> int:
     panel = panels.read_panel(args.panel)
     factors = panels.read_factors(args.factors)
@@ -199,7 +197,17 @@ def _cmd_test(args) -> int:
         panel.values, factors.values, knots=_parse_knots(args.knots), order=args.order
     )
     wanted = _parse_tests(args.tests)
-    rows = [r for r in results if r.name in wanted]
+    rows = [
+        [
+            r.name,
+            "" if r.statistic is None else panels.format_float(r.statistic),
+            panels.format_float(r.p_value),
+            r.reference,
+            int(r.p_value < args.level),
+        ]
+        for r in results
+        if r.name in wanted
+    ]
     prov = panels.provenance_line(
         {
             "command": "test",
@@ -211,7 +219,8 @@ def _cmd_test(args) -> int:
             "level": args.level,
         }
     )
-    panels.write_test_results(_out_stream(args.out), rows, args.level, [prov])
+    header = ["test", "statistic", "p_value", "reference", "reject"]
+    panels.write_table(args.out, header, rows, [prov])
     return 0
 
 
@@ -247,7 +256,13 @@ def _cmd_simulate_size(args) -> int:
         },
         seed=args.seed,
     )
-    panels.write_report(_out_stream(args.out), report, [prov])
+    # wall time stays out of the table so identical configurations give identical bytes
+    rows = [
+        [name, panels.format_float(rate), config.reps, report.failures, int(report.valid)]
+        for name, rate in report.rejection_rates.items()
+    ]
+    header = ["test", "rejection_rate", "reps", "failures", "valid"]
+    panels.write_table(args.out, header, rows, [prov])
     return 0
 
 
@@ -260,19 +275,9 @@ def _cmd_simulate_power(args) -> int:
         alpha = AlphaSpec(sparsity=args.sparsity, strength=c, mode=args.alpha_mode)
         config = _experiment_config(args, alpha)
         report = run_experiment(config, workers=args.workers)
+        cell = [args.example, args.errors, args.N, args.T, args.sparsity, panels.format_float(c)]
         for name in TEST_NAMES:
-            rows.append(
-                {
-                    "example": args.example,
-                    "scenario": args.errors,
-                    "N": args.N,
-                    "T": args.T,
-                    "sparsity": args.sparsity,
-                    "strength": c,
-                    "test": name,
-                    "rejection_rate": report.rejection_rates[name],
-                }
-            )
+            rows.append(cell + [name, panels.format_float(report.rejection_rates[name])])
     prov = panels.provenance_line(
         {
             "command": "simulate-power",
@@ -290,7 +295,8 @@ def _cmd_simulate_power(args) -> int:
         },
         seed=args.seed,
     )
-    panels.write_power_rows(_out_stream(args.out), rows, [prov])
+    header = ["example", "scenario", "N", "T", "sparsity", "strength", "test", "rejection_rate"]
+    panels.write_table(args.out, header, rows, [prov])
     return 0
 
 
@@ -316,10 +322,20 @@ def _cmd_rolling(args) -> int:
             "tests": ",".join(rolling.tests),
         }
     )
-    panels.write_rolling(_out_stream(args.out), rolling, [prov])
-    summary = panels.render_rolling_summary(rolling)
-    target = sys.stderr if args.out == "-" else sys.stdout
-    target.write(summary)
+    rows = [
+        [int(start)] + [panels.format_float(p) for p in row]
+        for start, row in zip(rolling.window_starts, rolling.p_values)
+    ]
+    panels.write_table(args.out, ["window", *rolling.tests], rows, [prov])
+    summary = [
+        [panels.format_float(level)]
+        + [panels.format_float(rolling.rejection_ratios[level][t]) for t in rolling.tests]
+        for level in sorted(rolling.rejection_ratios)
+    ]
+    # under --out - the summary keeps stdout a single table
+    panels.write_table(
+        sys.stderr if args.out == "-" else sys.stdout, ["level", *rolling.tests], summary
+    )
     return 0
 
 
@@ -333,28 +349,20 @@ def _cmd_knots(args) -> int:
     scores, best = basis._score_knot_candidates(
         panel.values, factors.values, candidates, args.order
     )
-    out = _out_stream(args.out)
-    fh = open(out, "w", newline="") if isinstance(out, str) else out
-    try:
-        fh.write(
-            panels.provenance_line(
-                {
-                    "command": "knots",
-                    "panel": args.panel,
-                    "factors": args.factors,
-                    "order": args.order,
-                    "candidates": ",".join(str(n) for n in scores),
-                }
-            )
-            + "\n"
-        )
-        fh.write("n,basis_dim,bic,selected\n")
-        for n, score in scores.items():
-            bic_txt = "" if score is None else panels.format_float(score)
-            fh.write(f"{n},{n + args.order},{bic_txt},{int(n == best)}\n")
-    finally:
-        if isinstance(out, str):
-            fh.close()
+    prov = panels.provenance_line(
+        {
+            "command": "knots",
+            "panel": args.panel,
+            "factors": args.factors,
+            "order": args.order,
+            "candidates": ",".join(str(n) for n in scores),
+        }
+    )
+    rows = [
+        [n, n + args.order, "" if score is None else panels.format_float(score), int(n == best)]
+        for n, score in scores.items()
+    ]
+    panels.write_table(args.out, ["n", "basis_dim", "bic", "selected"], rows, [prov])
     return 0
 
 

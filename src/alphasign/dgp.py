@@ -120,8 +120,8 @@ class AlphaSpec:
     def __post_init__(self):
         if self.sparsity < 0:
             raise ContractError("sparsity must be >= 0")
-        if self.strength < 0.0:
-            raise ContractError("strength must be >= 0")
+        if not math.isfinite(self.strength) or self.strength < 0.0:
+            raise ContractError(f"strength must be finite and >= 0, got {self.strength}")
         if self.mode not in ("constant", "over_T"):
             raise ContractError(f"mode must be 'constant' or 'over_T', got {self.mode!r}")
 
@@ -273,13 +273,12 @@ def gen_alpha(spec: AlphaSpec, N: int, T: int, rng) -> tuple[np.ndarray, np.ndar
 
 def assemble_panel(
     example: int,
-    alpha: np.ndarray,
     N: int,
     T: int,
     rng,
     scenario: ErrorScenario = ErrorScenario("normal"),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Compose Y = alpha + sum_j beta_j f_j + e for one example design.
+    """Compose Y = sum_j beta_j f_j + e for one example design.
 
     Returns the T x N panel and the T x p factor matrix. Randomness is
     consumed in the fixed order: factor paths (listed order), latent
@@ -287,18 +286,13 @@ def assemble_panel(
     """
     if example not in EXAMPLE_FACTORS:
         raise ContractError(f"example must be 1, 2 or 3, got {example}")
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (T, N):
-        raise ContractError(
-            f"alpha must have shape ({T}, {N}), got {alpha.shape}"
-        )
     specs = EXAMPLE_FACTORS[example]
     F = np.column_stack([ar_garch_path(s, T, rng) for s in specs])
     loadings, _ = gen_loadings(example, T, rng)
     errors = gen_errors(scenario, N, T, rng)
     # Loadings are shared by all assets, so one (T, 1) column broadcasts.
     systematic = np.einsum("pt,tp->t", loadings, F)[:, None]
-    return alpha + systematic + errors, F
+    return systematic + errors, F
 
 
 @dataclass(frozen=True)
@@ -324,6 +318,6 @@ def simulate_panel(
     Consumption order extends assemble_panel: factors, latent state,
     errors, then the intercept support and levels.
     """
-    base, F = assemble_panel(example, np.zeros((T, N)), N, T, rng, scenario)
+    base, F = assemble_panel(example, N, T, rng, scenario)
     alpha, support = gen_alpha(alpha_spec, N, T, rng)
     return SimulatedPanel(base + alpha, F, alpha, support)

@@ -12,10 +12,12 @@ with 17 significant digits, which round-trips IEEE doubles exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,10 +156,17 @@ def _read_table(path: str) -> Panel:
     if RF_COLUMN in columns:
         k = columns.index(RF_COLUMN)
         rf = values[:, k]
-        values = np.delete(values, k, axis=1) - rf[:, None]
+        with np.errstate(over="ignore"):
+            values = np.delete(values, k, axis=1) - rf[:, None]
         columns = [c for c in columns if c != RF_COLUMN]
         if not columns:
             raise PanelFormatError(f"{path}: only an 'rf' column was provided")
+        if not np.isfinite(values).all():
+            # finite cells can still overflow; rows count as in _cell_fault
+            i, j = np.argwhere(~np.isfinite(values))[0]
+            raise PanelFormatError(
+                f"{path}: row {i + 2}, column {columns[j]!r} minus 'rf' is not finite"
+            )
     return Panel(values, tuple(columns), tuple(index))
 
 
@@ -195,103 +204,18 @@ def write_panel(path: str, values, columns, index=None, comments: list[str] | No
             fh.write(_label_cell(label) + numbers % tuple(row.tolist()))
 
 
-def _open_out(path_or_buffer):
-    if hasattr(path_or_buffer, "write"):
-        return path_or_buffer, False
-    return open(path_or_buffer, "w", newline=""), True
+def write_table(out, header, rows, comments=()):
+    """Write a result table: each comment line, then header and rows as CSV.
 
-
-def write_test_results(path_or_buffer, results, level: float, comments: list[str]):
-    """Result table for one battery run: name, statistic, p_value, reference, reject."""
-    fh, close = _open_out(path_or_buffer)
-    try:
-        for line in comments:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["test", "statistic", "p_value", "reference", "reject"])
-        for r in results:
-            writer.writerow(r.to_csv_row() + [str(int(r.p_value < level))])
-    finally:
-        if close:
-            fh.close()
-
-
-def write_report(path_or_buffer, report, comments: list[str]):
-    """Experiment report: one row per test with its rejection rate.
-
-    Wall time deliberately stays out of the file so identical
-    configurations produce byte-identical output.
+    `out` is a path, "-" for standard output, or an open text stream. Cells
+    are written as given, so callers format floats with `format_float`.
     """
-    fh, close = _open_out(path_or_buffer)
-    try:
+    if out == "-":
+        out = sys.stdout
+    opened = open(out, "w", newline="") if isinstance(out, str) else contextlib.nullcontext(out)
+    with opened as fh:
         for line in comments:
             fh.write(line + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["test", "rejection_rate", "reps", "failures", "valid"])
-        for name in report.rejection_rates:
-            writer.writerow(
-                [
-                    name,
-                    format_float(report.rejection_rates[name]),
-                    str(report.config.reps),
-                    str(report.failures),
-                    str(int(report.valid)),
-                ]
-            )
-    finally:
-        if close:
-            fh.close()
-
-
-def write_power_rows(path_or_buffer, rows, comments: list[str]):
-    """Long-format power table: one row per (cell, test) combination."""
-    fh, close = _open_out(path_or_buffer)
-    try:
-        for line in comments:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["example", "scenario", "N", "T", "sparsity", "strength", "test", "rejection_rate"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    str(row["example"]),
-                    row["scenario"],
-                    str(row["N"]),
-                    str(row["T"]),
-                    str(row["sparsity"]),
-                    format_float(row["strength"]),
-                    row["test"],
-                    format_float(row["rejection_rate"]),
-                ]
-            )
-    finally:
-        if close:
-            fh.close()
-
-
-def write_rolling(path_or_buffer, rolling, comments: list[str]):
-    """Per-window p-values, one row per window start."""
-    fh, close = _open_out(path_or_buffer)
-    try:
-        for line in comments:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["window"] + list(rolling.tests))
-        for start, row in zip(rolling.window_starts, rolling.p_values):
-            writer.writerow([str(int(start))] + [format_float(p) for p in row])
-    finally:
-        if close:
-            fh.close()
-
-
-def render_rolling_summary(rolling) -> str:
-    """Rejection-ratio summary block as CSV text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["level"] + list(rolling.tests))
-    for level in sorted(rolling.rejection_ratios):
-        ratios = rolling.rejection_ratios[level]
-        writer.writerow([format_float(level)] + [format_float(ratios[t]) for t in rolling.tests])
-    return buf.getvalue()
+        writer.writerow(header)
+        writer.writerows(rows)

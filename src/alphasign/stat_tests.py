@@ -54,10 +54,6 @@ class TestResult:
     p_value: float
     reference: str
 
-    def to_csv_row(self) -> list[str]:
-        stat = "" if self.statistic is None else f"{self.statistic:.17g}"
-        return [self.name, stat, f"{self.p_value:.17g}", self.reference]
-
 
 def _norm_sf(x: float) -> float:
     """Upper tail of the standard normal, accurate far into the tail."""

@@ -19,9 +19,9 @@ from alphasign.panels import (
     read_factors,
     read_panel,
     write_panel,
-    write_test_results,
+    write_table,
 )
-from alphasign.stat_tests import TEST_NAMES, TestResult
+from alphasign.stat_tests import TEST_NAMES, run_all_tests
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -104,8 +104,11 @@ def test_malformed_panels_raise_with_coordinates(tmp_path, body, fragment):
         # the first fault in file order is named, whatever its kind
         ("t,A,B\n1,1,NaN\n2,3\n", "row 2, column 'B' is not finite: 'NaN'"),
         ("t,rf\n1,0.25\n", "only an 'rf' column was provided"),
+        # finite cells whose excess return overflows; comment lines are not rows
+        ("t,A,B,rf\n1,1,2,0\n# note\n2,3,1e308,-1e308\n", "row 3, column 'B' minus 'rf' is not finite"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_malformed_panel_messages_name_row_and_column(tmp_path, body, message):
     path = str(tmp_path / "bad.csv")
     with open(path, "w") as fh:
@@ -227,19 +230,19 @@ def test_provenance_line_is_order_insensitive():
     assert provenance_line({"alpha": 2}) != provenance_line({"alpha": 1})
 
 
-def test_write_test_results_table():
+def test_write_test_results_table(tmp_path, capsys):
+    header = ["test", "statistic", "reject"]
+    rows = [["CSS", format_float(1.5), 1], ["CC", None, 0], ["a,b", "", 0]]
+    expected = '# run\ntest,statistic,reject\r\nCSS,1.5,1\r\nCC,,0\r\n"a,b",,0\r\n'
     buf = io.StringIO()
-    results = [
-        TestResult("CSS", 1.5, 0.03, "scaled-chi-square"),
-        TestResult("CC", None, 0.2, "combined"),
-    ]
-    write_test_results(buf, results, level=0.05, comments=["# run"])
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "# run"
-    rows = list(csv.reader(lines[1:]))
-    assert rows[0] == ["test", "statistic", "p_value", "reference", "reject"]
-    assert rows[1][0] == "CSS" and rows[1][4] == "1"
-    assert rows[2][0] == "CC" and rows[2][1] == "" and rows[2][4] == "0"
+    write_table(buf, header, rows, comments=["# run"])
+    assert buf.getvalue() == expected
+    path = tmp_path / "table.csv"
+    write_table(str(path), header, rows, comments=["# run"])
+    assert path.read_bytes() == expected.encode()
+    capsys.readouterr()
+    write_table("-", header, rows, comments=["# run"])
+    assert capsys.readouterr().out == expected
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +286,14 @@ def test_cli_test_subcommand(cli_files):
     assert rows[0] == ["test", "statistic", "p_value", "reference", "reject"]
     names = [r[0] for r in rows[1:]]
     assert names == list(TEST_NAMES)
-    for r in rows[1:]:
+    panel, factors = read_panel(cli_files["panel"]), read_factors(cli_files["factors"])
+    results = run_all_tests(panel.values, factors.values, knots=2)
+    for r, result in zip(rows[1:], results):
+        # combination tests have no statistic; every float round-trips exactly
+        assert (r[1] == "") == (r[0] in ("Ada", "CC"))
+        if r[1]:
+            assert float(r[1]) == result.statistic
+        assert float(r[2]) == result.p_value
         assert 0.0 <= float(r[2]) <= 1.0
         assert r[4] in ("0", "1")
 
@@ -326,6 +336,11 @@ def test_cli_exit_codes(cli_files, capsys):
     assert "row 42, column 'B' is not finite: 'nan'" in capsys.readouterr().err
     assert main(["--version"]) == 0
     capsys.readouterr()  # swallow usage noise
+    # strength-grid values must be finite
+    for bad in ("nan", "inf", "1e400"):
+        code = main(["simulate-power", "--N", "10", "--T", "70", "--reps", "1", "--strength-grid", bad])
+        assert code == 1, bad
+        assert "invalid --strength-grid value" in capsys.readouterr().err
     # knot candidates must be a comma list of integers
     for bad in ("a,b", ",", "1,,2"):
         code = main(["knots", cli_files["panel"], cli_files["factors"], "--candidates", bad])
@@ -401,6 +416,50 @@ def test_cli_rolling(cli_files, capsys):
     assert [r[0] for r in rows[1:]] == [str(w) for w in range(1, 7)]
     summary = capsys.readouterr().out
     assert summary.splitlines()[0] == "level," + ",".join(TEST_NAMES)
+
+
+_TABLES = {
+    "test": (["--knots", "2"], "test,statistic,p_value,reference,reject"),
+    "knots": (["--candidates", "1,2"], "n,basis_dim,bic,selected"),
+    "simulate-size": (
+        ["--N", "10", "--T", "70", "--reps", "3", "--knots", "1", "--workers", "1"],
+        "test,rejection_rate,reps,failures,valid",
+    ),
+    "simulate-power": (
+        ["--N", "10", "--T", "70", "--reps", "2", "--sparsity", "1", "--strength-grid", "3",
+         "--knots", "1", "--workers", "1"],
+        "example,scenario,N,T,sparsity,strength,test,rejection_rate",
+    ),
+    "rolling": (["--window", "75", "--knots", "1"], "window," + ",".join(TEST_NAMES)),
+}
+
+
+@pytest.mark.parametrize("command", list(_TABLES))
+def test_cli_tables_share_one_layout(cli_files, capsys, command):
+    flags, header = _TABLES[command]
+    files = [] if command.startswith("simulate") else [cli_files["panel"], cli_files["factors"]]
+    argv = [command, *files, *flags]
+    out = cli_files["root"] / f"layout-{command}.csv"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 0
+    to_file = capsys.readouterr()
+    text = out.read_bytes().decode()
+    comment, table = text.split("\n", 1)
+    assert comment.startswith("# alphasign ") and not comment.endswith("\r")
+    lines = table.split("\r\n")
+    assert lines[0] == header
+    assert len(lines) > 2 and lines[-1] == ""
+    assert not any("\n" in line for line in lines)
+
+    # the default --out - writes the same bytes to stdout; the rolling
+    # summary then moves from stdout to stderr
+    assert main(argv) == 0
+    to_stdout = capsys.readouterr()
+    assert to_stdout.out == text
+    if command == "rolling":
+        assert to_file.out.startswith("level,") and to_stdout.err == to_file.out
+    else:
+        assert to_file.out == "" and to_stdout.err == ""
 
 
 def test_cli_config_file_defaults_and_flag_priority(cli_files, capsys):

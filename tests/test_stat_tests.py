@@ -1,6 +1,8 @@
 """The six test statistics, their reference laws, and the combination rule."""
 
+import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import orth
 
+from alphasign import cli, panels
 from alphasign.basis import SplineConfig, build_design, fit_panel
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
@@ -384,9 +387,21 @@ def test_golden_projection_bias(golden_sim):
     assert projection_sign_bias(design) == pytest.approx(GOLDEN_BIAS_KNOTS_2, abs=1e-12)
 
 
-def test_result_csv_row_formatting():
-    row = TestResult("CC", None, 0.25, "combined").to_csv_row()
-    assert row == ["CC", "", "0.25", "combined"]
-    stat_row = TestResult("CSS", 1.0 / 3.0, 1e-17, "scaled-chi-square").to_csv_row()
+def test_result_csv_row_formatting(tmp_path, monkeypatch):
+    # a TestResult becomes a `test` table row in cli._cmd_test
+    results = [
+        TestResult("CSS", 1.0 / 3.0, 1e-17, "scaled-chi-square"),
+        TestResult("CC", None, 0.25, "combined"),
+    ]
+    monkeypatch.setattr(panels, "read_panel", lambda path: SimpleNamespace(values=None))
+    monkeypatch.setattr(panels, "read_factors", lambda path: SimpleNamespace(values=None))
+    monkeypatch.setattr(cli, "run_all_tests", lambda *args, **kwargs: results)
+    out = tmp_path / "results.csv"
+    argv = ["test", "panel.csv", "factors.csv", "--tests", "CC,CSS", "--out", str(out)]
+    assert cli.main(argv) == 0
+    with open(out, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    assert rows[2][:4] == ["CC", "", "0.25", "combined"]
+    stat_row = rows[1]
     assert float(stat_row[1]) == 1.0 / 3.0
     assert float(stat_row[2]) == 1e-17
