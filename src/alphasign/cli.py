@@ -73,11 +73,26 @@ def _parse_candidates(text: str) -> list[int]:
 def _parse_grid(text: str) -> list[float]:
     try:
         grid = [float(x) for x in text.split(",") if x.strip()]
-        if not all(math.isfinite(c) for c in grid):
+        if not all(math.isfinite(c) and c >= 0.0 for c in grid):
             raise ValueError(text)
     except ValueError:
-        raise _UsageError(f"invalid --strength-grid value: {text!r}") from None
+        raise _UsageError(
+            f"invalid --strength-grid value: {text!r} (strengths are finite and >= 0)"
+        ) from None
     return grid
+
+
+def _parse_level(text: str) -> float:
+    """--level: a finite rejection level strictly inside (0, 1)."""
+    try:
+        level = float(text)
+        if not 0.0 < level < 1.0:  # also refuses nan
+            raise ValueError(text)
+    except ValueError:
+        raise _UsageError(
+            f"invalid --level value: {text!r} (must be a number in (0, 1))"
+        ) from None
+    return level
 
 
 def _build_parser() -> _Parser:
@@ -96,7 +111,7 @@ def _build_parser() -> _Parser:
     p_test.add_argument("panel")
     p_test.add_argument("factors")
     p_test.add_argument("--tests", default=",".join(TEST_NAMES), help="comma list of tests to report")
-    p_test.add_argument("--level", type=float, default=0.05, help="rejection level for the reject column")
+    p_test.add_argument("--level", type=_parse_level, default=0.05, help="rejection level for the reject column")
     add_common(p_test)
 
     p_size = sub.add_parser("simulate-size", help="null rejection rates for one cell")
@@ -106,7 +121,7 @@ def _build_parser() -> _Parser:
     p_size.add_argument("--T", type=int, default=350)
     p_size.add_argument("--reps", type=int, default=500)
     p_size.add_argument("--seed", type=int, default=1)
-    p_size.add_argument("--level", type=float, default=0.05)
+    p_size.add_argument("--level", type=_parse_level, default=0.05)
     p_size.add_argument("--workers", type=int, default=None)
     add_common(p_size)
 
@@ -117,7 +132,7 @@ def _build_parser() -> _Parser:
     p_pow.add_argument("--T", type=int, default=350)
     p_pow.add_argument("--reps", type=int, default=500)
     p_pow.add_argument("--seed", type=int, default=1)
-    p_pow.add_argument("--level", type=float, default=0.05)
+    p_pow.add_argument("--level", type=_parse_level, default=0.05)
     p_pow.add_argument("--sparsity", type=int, default=2)
     p_pow.add_argument("--strength-grid", default="2,4,6,8,10,12,14,16,18,20")
     p_pow.add_argument("--alpha-mode", default="constant", choices=("constant", "over_T"))

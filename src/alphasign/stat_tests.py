@@ -27,7 +27,13 @@ from .basis import (
 )
 from .blas import one_blas_thread
 from .errors import AlphaSignError, ContractError, DegenerateStatisticError
-from .spatial import MomentEstimates, SpatialLocation, _row_signs, moment_estimates, spatial_median_scale
+from .spatial import (
+    MomentEstimates,
+    SpatialLocation,
+    _inverse_norms,
+    moment_estimates,
+    spatial_median_scale,
+)
 
 TEST_NAMES = ("HDA", "MNT", "Ada", "CSS", "CSM", "CC")
 
@@ -163,6 +169,10 @@ def trace_sigma_u_sq(residuals_tilde, h) -> float:
     Cross products of distinct sign vectors are squared and weighted by
     h_t1^2 h_t2^2, then normalized by h'h (h'h - 1). The sign vectors must
     come from the intercept-absorbing (uncentered-design) residuals.
+
+    The sign gram is the residual gram scaled by the inverse row norms on
+    both sides, which its diagonal supplies; a zero row gets weight 0. No
+    sign matrix is formed.
     """
     E = np.asarray(residuals_tilde, dtype=float)
     if E.ndim != 2:
@@ -178,8 +188,10 @@ def trace_sigma_u_sq(residuals_tilde, h) -> float:
         raise DegenerateStatisticError(
             f"normalization requires h'h > 1, got h'h = {hh:g}"
         )
-    S = _row_signs(E)
-    G = S @ S.T
+    G = E @ E.T
+    inv_norms = _inverse_norms(np.sqrt(np.diag(G)))
+    G *= inv_norms[:, None]
+    G *= inv_norms
     W = np.multiply(G, G, out=G)
     h2 = hv * hv
     total = float(h2 @ W @ h2)
@@ -251,8 +263,8 @@ def css_test(residuals, residuals_tilde, design: DesignMatrix) -> TestResult:
             f"trace estimate must be positive, got {trace:g}"
         )
     hh = float(hv @ hv)
-    S = _row_signs(E)
-    Sh = S.T @ hv
+    # S'h with S the row signs of E: the h weights divided by the row norms
+    Sh = E.T @ (hv * _inverse_norms(np.sqrt(np.einsum("tn,tn->t", E, E))))
     bias = projection_sign_bias(design)
     numerator = float(Sh @ Sh) / hh - 1.0 - bias
     var_factor = 1.0 - float(np.sum(hv**4)) / (hh * hh) + 2.0 * bias
@@ -299,9 +311,10 @@ def hda_test(residuals, design: DesignMatrix) -> TestResult:
     ratio = design.omega_T / T
     m_hat = ratio * float(np.mean(sigma_diag))
     if T < N:
-        fro_sq = float(np.sum((E @ E.T) ** 2)) / dof**2
+        G = E @ E.T
     else:
-        fro_sq = float(np.sum((E.T @ E) ** 2)) / dof**2
+        G = E.T @ E
+    fro_sq = float(np.vdot(G, G)) / dof**2
     v_hat = 2.0 * ratio**2 * fro_sq / N**2
     if v_hat <= 0.0:
         raise DegenerateStatisticError("variance estimate is non-positive")
@@ -410,7 +423,7 @@ def run_all_tests(
         lambda: spatial_median_scale(fit.residuals, tol=tol, max_iter=max_iter),
     )
     moments = _stage(
-        "moments", lambda: moment_estimates(fit.residuals, loc, design.omega_T)
+        "moments", lambda: moment_estimates(loc, design.omega_T)
     )
     hda = _stage("HDA", lambda: hda_test(fit.residuals, design))
     mnt = _stage("MNT", lambda: mnt_test(fit.residuals, p))

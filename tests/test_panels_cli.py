@@ -336,8 +336,8 @@ def test_cli_exit_codes(cli_files, capsys):
     assert "row 42, column 'B' is not finite: 'nan'" in capsys.readouterr().err
     assert main(["--version"]) == 0
     capsys.readouterr()  # swallow usage noise
-    # strength-grid values must be finite
-    for bad in ("nan", "inf", "1e400"):
+    # strength-grid values must be finite and non-negative
+    for bad in ("nan", "inf", "1e400", "-1", "2,-0.5"):
         code = main(["simulate-power", "--N", "10", "--T", "70", "--reps", "1", "--strength-grid", bad])
         assert code == 1, bad
         assert "invalid --strength-grid value" in capsys.readouterr().err
@@ -494,6 +494,22 @@ def test_cli_config_file_defaults_and_flag_priority(cli_files, capsys):
         assert main(["simulate-size", "--config", mistyped]) == 1, line
         err = capsys.readouterr().err
         assert mistyped in err and key in err
+
+
+def test_cli_level_must_lie_strictly_inside_zero_one(cli_files, capsys):
+    for argv in (
+        ["test", cli_files["panel"], cli_files["factors"], "--knots", "1"],
+        ["simulate-size", "--N", "10", "--T", "70", "--reps", "1"],
+        ["simulate-power", "--N", "10", "--T", "70", "--reps", "1", "--strength-grid", "3"],
+    ):
+        for bad in ("nan", "0", "1", "inf", "-0.5", "x"):
+            assert main(argv + ["--level", bad]) == 1, (argv[0], bad)
+            assert f"invalid --level value: {bad!r}" in capsys.readouterr().err
+    cfg = str(cli_files["root"] / "level.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("level=nan\n")
+    assert main(["simulate-size", "--config", cfg]) == 1
+    assert "invalid --level value: 'nan'" in capsys.readouterr().err
 
 
 def test_cli_knots_flag_takes_a_count_or_auto(cli_files, capsys):

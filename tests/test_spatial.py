@@ -14,6 +14,10 @@ from alphasign.spatial import (
     spatial_sign,
 )
 
+# a divide by zero or an invalid value anywhere in the product form of the
+# iteration is a defect, not a warning
+pytestmark = pytest.mark.filterwarnings("error")
+
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
@@ -63,8 +67,8 @@ def test_estimating_equations_hold_at_convergence(small_fit):
 
 
 def _reference_spatial_median(E, tol=1e-8, max_iter=200):
-    """The iteration written with a fresh array per step, as the reference
-    for the buffered version (same arithmetic, so results match exactly)."""
+    """The iteration written elementwise on the sign matrix, as the reference
+    for the matrix-vector form (which sums in another order)."""
     T, N = E.shape
     theta, scale = E.mean(axis=0), E.var(axis=0, ddof=1)
     iterations = 0
@@ -85,15 +89,63 @@ def _reference_spatial_median(E, tol=1e-8, max_iter=200):
         iterations += 1
 
 
-def test_buffered_iteration_matches_reference_exactly(small_fit):
+def _assert_matches_reference(loc, E, **kwargs):
+    theta, scale, iterations, eq = _reference_spatial_median(E, **kwargs)
+    assert loc.iterations == iterations
+    assert np.allclose(loc.theta, theta, rtol=1e-12, atol=0.0)
+    assert np.allclose(loc.scale_diag, scale, rtol=1e-12, atol=0.0)
+    assert abs(loc.eq_residual - eq) <= 1e-12
+
+
+def test_product_iteration_matches_reference(small_fit):
     # odd T with one column puts the location on an observation, so rows
     # with zero norm drop out along the way
     x = np.random.default_rng(4).standard_normal((21, 1))
     for E in (small_fit.residuals, x, small_fit.residuals[:, :3] ** 3):
         loc = spatial_median_scale(E)
-        theta, scale, iterations, eq = _reference_spatial_median(E)
-        assert np.array_equal(loc.theta, theta) and np.array_equal(loc.scale_diag, scale)
-        assert (loc.iterations, loc.eq_residual) == (iterations, eq)
+        _assert_matches_reference(loc, E)
+        X = (E - loc.theta) / np.sqrt(loc.scale_diag)
+        assert np.allclose(loc.norms, np.linalg.norm(X, axis=1), rtol=1e-12, atol=1e-12)
+
+
+def test_one_round_returns_the_reference_iterate(small_fit):
+    E = small_fit.residuals
+    loc = spatial_median_scale(E, max_iter=1)
+    assert not loc.converged
+    _assert_matches_reference(loc, E, max_iter=1)
+
+
+def test_far_shift_moves_the_location_by_the_shift(small_fit):
+    # the product form expands squares of e_t - theta; without centering
+    # by the column means this shift would cancel away every digit
+    E = small_fit.residuals
+    sd = E.std(axis=0)
+    shift = 1e6 * sd
+    base = spatial_median_scale(E)
+    shifted = spatial_median_scale(E + shift)
+    assert shifted.converged
+    assert np.all(np.abs(shifted.theta - shift - base.theta) <= 1e-7 * sd)
+    assert np.allclose(shifted.scale_diag, base.scale_diag, rtol=1e-6)
+
+
+def test_row_on_the_location_drops_out():
+    # rows x_k and -c_k x_k have opposite signs about the origin for any
+    # diagonal scale, so the location is the zero row; the column means
+    # start the iteration away from it
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((12, 3))
+    c = rng.uniform(0.5, 3.0, (12, 1))
+    E = np.vstack([X, -c * X, np.zeros((1, 3))])
+    assert np.max(np.abs(E.mean(axis=0))) > 0.05
+    loc = spatial_median_scale(E)
+    assert loc.converged
+    assert np.array_equal(loc.theta, np.zeros(3))
+    assert loc.norms[-1] == 0.0 and np.all(loc.norms[:-1] > 0.0)
+    U = (E[:-1] - loc.theta) / np.sqrt(loc.scale_diag)
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    N = E.shape[1]
+    assert float(np.linalg.norm(U.mean(axis=0))) <= 1e-8
+    assert float(N * np.max(np.abs((U * U).mean(axis=0) - 1.0 / N))) <= 1e-8
 
 
 def test_row_signs_match_reference_exactly(small_fit):
@@ -134,15 +186,17 @@ def test_degenerate_inputs_raise():
         spatial_median_scale(bad)
 
 
-def _unit_location(N):
-    return SpatialLocation(np.zeros(N), np.ones(N), 0, True, 0.0)
+def _unit_location(E):
+    """Location 0 and unit scale, with the row norms that implies."""
+    N = E.shape[1]
+    return SpatialLocation(np.zeros(N), np.ones(N), 0, True, 0.0, np.linalg.norm(E, axis=1))
 
 
 def test_norm_moments_unit_rows():
     # rows cycle through the standard basis: every norm is exactly one
     N, T = 4, 12
     E = np.eye(N)[np.arange(T) % N]
-    m = moment_estimates(E, _unit_location(N), omega_T=float(T))
+    m = moment_estimates(_unit_location(E), omega_T=float(T))
     assert m.varsigma2 == pytest.approx(1.0, abs=1e-14)
     assert m.varsigma1 == pytest.approx(1.0, abs=1e-14)
     assert m.varsigma_neg1 == pytest.approx(1.0, abs=1e-14)
@@ -153,7 +207,7 @@ def test_norm_moments_unit_rows():
 def test_norm_moments_scaled_rows():
     N, T = 5, 10
     E = 2.0 * np.eye(N)[np.arange(T) % N]
-    m = moment_estimates(E, _unit_location(N), omega_T=float(T))
+    m = moment_estimates(_unit_location(E), omega_T=float(T))
     assert (m.varsigma2, m.varsigma1, m.varsigma_neg1) == (4.0, 2.0, 0.5)
     assert m.zeta_hat == pytest.approx(N / 4.0, rel=1e-12)
 
@@ -163,8 +217,8 @@ def test_norm_moments_guards():
     E = 2.0 * np.eye(N)[np.arange(T) % N]
     E[0] = 0.0  # coincides with the location
     with pytest.raises(DegenerateStatisticError):
-        moment_estimates(E, _unit_location(N), omega_T=float(T))
+        moment_estimates(_unit_location(E), omega_T=float(T))
     E2 = 2.0 * np.eye(N)[np.arange(T) % N]
     # eta = 1 with these norms zeroes the denominator exactly
     with pytest.raises(DegenerateStatisticError):
-        moment_estimates(E2, _unit_location(N), omega_T=0.0)
+        moment_estimates(_unit_location(E2), omega_T=0.0)

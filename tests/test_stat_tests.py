@@ -16,7 +16,7 @@ from alphasign import cli, panels
 from alphasign.basis import SplineConfig, build_design, fit_panel
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
-from alphasign.spatial import MomentEstimates, SpatialLocation
+from alphasign.spatial import MomentEstimates, SpatialLocation, _row_signs
 from alphasign.stat_tests import (
     REFERENCES,
     TEST_NAMES,
@@ -142,6 +142,28 @@ def test_css_input_guards(small_sim, small_design, small_fit):
         css_test(E, E_tilde[:100], small_design)
 
 
+def test_css_and_trace_match_the_sign_matrix_form(small_design, small_fit):
+    # both are computed without the sign matrix; pin them to it, with two
+    # zero rows whose signs are the zero vector
+    E, E_tilde = small_fit.residuals.copy(), small_fit.residuals_tilde.copy()
+    E[[3, 50]] = 0.0
+    E_tilde[[3, 50]] = 0.0
+    h = small_design.h
+    hh = float(h @ h)
+    h2 = h * h
+    W = (_row_signs(E_tilde) @ _row_signs(E_tilde).T) ** 2
+    np.fill_diagonal(W, 0.0)
+    trace = float(h2 @ W @ h2) / (hh * (hh - 1.0))
+    assert trace_sigma_u_sq(E_tilde, h) == pytest.approx(trace, rel=1e-12, abs=0.0)
+
+    Sh = _row_signs(E).T @ h
+    bias = projection_sign_bias(small_design)
+    numerator = float(Sh @ Sh) / hh - 1.0 - bias
+    var_factor = 1.0 - float(np.sum(h**4)) / (hh * hh) + 2.0 * bias
+    stat = numerator / math.sqrt(2.0 * trace * var_factor)
+    assert css_test(E, E_tilde, small_design).statistic == pytest.approx(stat, rel=1e-12, abs=0.0)
+
+
 def test_css_design_corrections_match_manual_recomputation(small_sim, small_design, small_fit):
     design, fit = small_design, small_fit
     # independent annihilator from an orthonormal basis of the design span
@@ -234,7 +256,7 @@ def test_mnt_guards():
 
 def test_csm_zero_location_hand_case():
     N = 200
-    loc = SpatialLocation(np.zeros(N), np.ones(N), 3, True, 0.0)
+    loc = SpatialLocation(np.zeros(N), np.ones(N), 3, True, 0.0, np.ones(350))
     moments = MomentEstimates(1.0, 1.0, 1.0, 5.0)
     result = csm_test(loc, moments, T=350, N=N)
     assert result.statistic == pytest.approx(-8.929245440954613, abs=1e-9)
@@ -250,7 +272,7 @@ def test_csm_statistic_formula():
     N, T = 30, 120
     theta = rng.standard_normal(N) * 0.1
     scale = rng.uniform(0.5, 2.0, N)
-    loc = SpatialLocation(theta, scale, 9, True, 0.0)
+    loc = SpatialLocation(theta, scale, 9, True, 0.0, np.ones(T))
     moments = MomentEstimates(1.2, 1.05, 0.97, 22.0)
     result = csm_test(loc, moments, T=T, N=N)
     expected = (
