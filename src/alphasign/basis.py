@@ -327,16 +327,31 @@ def build_design(factors, config: SplineConfig) -> DesignMatrix:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Per-asset least-squares residuals (T x N).
+    """Per-asset least-squares residuals (T x N) and their one gram. Its
+    arrays are read-only, so the gram cannot go stale.
 
     residuals come from the centered design, residuals_tilde from the
     uncentered twin. Residuals are unique even though the centered
     design's built-in dependency leaves its coefficients identified only
-    up to one null direction.
+    up to one null direction. gram_tilde = residuals_tilde residuals_tilde'
+    (T x T) is the only residual gram a battery forms; HDA and CSS both
+    read it.
     """
 
     residuals: np.ndarray
     residuals_tilde: np.ndarray
+    gram_tilde: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        E = self.residuals_tilde
+        if E.ndim != 2 or self.residuals.shape != E.shape:
+            raise ContractError(
+                "residuals must be two T x N arrays of one shape, got "
+                f"{self.residuals.shape} and {E.shape}"
+            )
+        object.__setattr__(self, "gram_tilde", E @ E.T)
+        for arr in (self.residuals, self.residuals_tilde, self.gram_tilde):
+            arr.flags.writeable = False
 
 
 def fit_panel(panel, design: DesignMatrix) -> FitResult:
@@ -421,19 +436,24 @@ def _score_knot_candidates(panel, factors, candidates, order: int):
     Returns ({n: score, or None when the candidate is unusable}, best n),
     keyed in ascending n. Candidates with too few observations or singular
     designs are unusable; ties break toward the smaller knot count. Raises
-    ContractError if the candidate set is empty or the panel and factors
-    disagree in rows or hold non-finite values, and SingularDesignError if
-    every candidate is unusable. OpenBLAS runs at one thread for the call.
+    ContractError if the candidate set is empty, holds a negative count,
+    the order is below 1, or the panel and factors disagree in rows or hold
+    non-finite values, and SingularDesignError if every candidate is
+    unusable. OpenBLAS runs at one thread for the call.
     """
     cand = sorted(set(int(c) for c in candidates))
     if not cand:
         raise ContractError("candidate set for knot selection is empty")
-    # Input errors are the caller's, not a candidate's: raise them here.
+    # Input errors are the caller's, not a candidate's: raise them here, so
+    # the loop below only meets a candidate's own failures (too few
+    # observations or a singular design).
+    configs = [SplineConfig(_check_knots(n), order) for n in cand]
     Y, f = _panel_and_factors(panel, factors)
     scores, failures = {}, []
-    for n in cand:
+    for config in configs:
+        n = config.interior_knots
         try:
-            scores[n] = bic_score(Y, f, SplineConfig(n, order))
+            scores[n] = bic_score(Y, f, config)
         except (SingularDesignError, ContractError) as exc:
             scores[n] = None
             failures.append(f"n={n}: {exc}")

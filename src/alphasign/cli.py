@@ -20,17 +20,9 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .dgp import ERROR_SCENARIO_KINDS, AlphaSpec, ErrorScenario
-from .errors import (
-    ContractError,
-    DegenerateScaleError,
-    DegenerateStatisticError,
-    PanelFormatError,
-    SingularDesignError,
-)
+from .errors import NUMERICAL_ERRORS, ContractError, PanelFormatError
 from .harness import ExperimentConfig, rolling_windows, run_experiment
 from .stat_tests import TEST_NAMES, run_all_tests
 from . import basis, panels
@@ -65,8 +57,8 @@ def _parse_tests(text: str) -> tuple[str, ...]:
 
 def _parse_candidates(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
+        return [basis._check_knots(int(x)) for x in text.split(",")]
+    except (ValueError, ContractError):
         raise _UsageError(f"invalid --candidates value: {text!r}") from None
 
 
@@ -409,12 +401,7 @@ def main(argv=None) -> int:
     except (PanelFormatError, ContractError, OSError) as exc:
         print(f"alphasign: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except (
-        SingularDesignError,
-        DegenerateScaleError,
-        DegenerateStatisticError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"alphasign: numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
 

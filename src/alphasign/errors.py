@@ -6,6 +6,8 @@ degenerate scale or variance estimates). The CLI maps the first family to
 exit code 2 and the second to exit code 3.
 """
 
+import numpy as np
+
 
 class AlphaSignError(Exception):
     """Base class for all package-specific errors."""
@@ -29,3 +31,13 @@ class DegenerateScaleError(AlphaSignError, ArithmeticError):
 
 class DegenerateStatisticError(AlphaSignError, ArithmeticError):
     """A statistic's normalizer (trace, variance, moment denominator) is invalid."""
+
+
+# The numerical family as one `except` tuple: the CLI maps it to exit 3, and
+# the Monte Carlo harness counts it, and only it, as a failed replication.
+NUMERICAL_ERRORS = (
+    SingularDesignError,
+    DegenerateScaleError,
+    DegenerateStatisticError,
+    np.linalg.LinAlgError,
+)

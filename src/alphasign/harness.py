@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import _check_knots, _panel_and_factors, select_knots_bic
 from .dgp import AlphaSpec, ErrorScenario, simulate_panel
-from .errors import AlphaSignError, ContractError
+from .errors import NUMERICAL_ERRORS, ContractError
 from .stat_tests import TEST_NAMES, TestResult, run_all_tests
 
 # A run with more than this share of failed replications is flagged invalid.
@@ -122,11 +122,13 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _replication_worker(args: tuple[ExperimentConfig, int]):
-    """(rep index, the six p-values in TEST_NAMES order or None on failure)."""
+    """(rep index, the six p-values in TEST_NAMES order or None on a
+    numerical failure). Any other error, such as a ContractError from a
+    cell no replication can run, propagates to the caller."""
     config, idx = args
     try:
         return idx, tuple(r.p_value for r in run_replication_results(config, idx))
-    except (AlphaSignError, np.linalg.LinAlgError):
+    except NUMERICAL_ERRORS:
         return idx, None
 
 

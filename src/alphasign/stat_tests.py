@@ -18,6 +18,7 @@ import numpy as np
 
 from .basis import (
     DesignMatrix,
+    FitResult,
     SplineConfig,
     _check_knots,
     _panel_and_factors,
@@ -163,21 +164,22 @@ def csm_test(
     return TestResult("CSM", stat, gumbel_p_value(stat), REFERENCES["CSM"])
 
 
-def trace_sigma_u_sq(residuals_tilde, h) -> float:
+def trace_sigma_u_sq(gram_tilde, h) -> float:
     """Weighted estimate of tr(Sigma_u^2), the sign gram's second moment.
 
     Cross products of distinct sign vectors are squared and weighted by
     h_t1^2 h_t2^2, then normalized by h'h (h'h - 1). The sign vectors must
-    come from the intercept-absorbing (uncentered-design) residuals.
+    come from the intercept-absorbing (uncentered-design) residuals, whose
+    T x T gram (`FitResult.gram_tilde`) is the input.
 
     The sign gram is the residual gram scaled by the inverse row norms on
     both sides, which its diagonal supplies; a zero row gets weight 0. No
     sign matrix is formed.
     """
-    E = np.asarray(residuals_tilde, dtype=float)
-    if E.ndim != 2:
-        raise ContractError(f"residuals must be T x N, got ndim={E.ndim}")
-    T = E.shape[0]
+    G = np.asarray(gram_tilde, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise ContractError(f"residual gram must be T x T, got shape {G.shape}")
+    T = G.shape[0]
     if T < 2:
         raise ContractError(f"need at least 2 cross sections, got T={T}")
     hv = np.asarray(h, dtype=float)
@@ -188,11 +190,10 @@ def trace_sigma_u_sq(residuals_tilde, h) -> float:
         raise DegenerateStatisticError(
             f"normalization requires h'h > 1, got h'h = {hh:g}"
         )
-    G = E @ E.T
     inv_norms = _inverse_norms(np.sqrt(np.diag(G)))
-    G *= inv_norms[:, None]
-    G *= inv_norms
-    W = np.multiply(G, G, out=G)
+    W = G * inv_norms[:, None]
+    W *= inv_norms
+    np.multiply(W, W, out=W)
     h2 = hv * hv
     total = float(h2 @ W @ h2)
     diag_part = float(np.sum(h2 * h2 * np.diag(W)))
@@ -228,7 +229,7 @@ def projection_sign_bias(design: DesignMatrix) -> float:
     return (float(g @ g) - float(qg @ qg) - hh) / hh
 
 
-def css_test(residuals, residuals_tilde, design: DesignMatrix) -> TestResult:
+def css_test(fit: FitResult, design: DesignMatrix) -> TestResult:
     """Sum-type spatial-sign test, one-sided against positive intercepts.
 
     The numerator aggregates the sign gram of the intercept-keeping
@@ -251,13 +252,11 @@ def css_test(residuals, residuals_tilde, design: DesignMatrix) -> TestResult:
     converges to the normal limit as nu grows. The reported statistic is
     the standardized form.
     """
-    E = np.asarray(residuals, dtype=float)
-    if E.ndim != 2:
-        raise ContractError(f"residuals must be T x N, got ndim={E.ndim}")
+    E = fit.residuals
     if design.n_obs != E.shape[0]:
         raise ContractError("design row count does not match residuals")
     hv = design.h
-    trace = trace_sigma_u_sq(residuals_tilde, hv)
+    trace = trace_sigma_u_sq(fit.gram_tilde, hv)
     if trace <= 0.0:
         raise DegenerateStatisticError(
             f"trace estimate must be positive, got {trace:g}"
@@ -288,34 +287,41 @@ def hda_j_stat(residuals) -> float:
     return float(np.mean(col_sums**2)) / T
 
 
-def hda_test(residuals, design: DesignMatrix) -> TestResult:
+def hda_test(fit: FitResult, design: DesignMatrix) -> TestResult:
     """Sum-type least-squares test, studentized under cross-sectional
     Gaussian calibration.
 
     The mean uses omega_T / T times the average residual variance; the
     variance uses twice the squared Frobenius norm of the residual
     covariance estimate. Residual degrees of freedom are T - (1+p)L.
+
+    That norm is ||E E'||^2 for the centered-design residuals E, taken from
+    the fit's gram of the uncentered-design residuals E~. The twins' spans
+    differ by h, so with c = E'h, E = E~ + h c'/h'h and h'E~ = 0, which
+    splits ||E E'||^2 into ||E~ E~'||^2 + 2 ||E~ c||^2 / h'h + ||c||^4 / (h'h)^2:
+    three non-negative terms, none formed as a T x T or N x N product here.
     """
-    E = np.asarray(residuals, dtype=float)
-    if E.ndim != 2:
-        raise ContractError(f"residuals must be T x N, got ndim={E.ndim}")
+    E = fit.residuals
     T, N = E.shape
     K = design.n_columns
     if T <= K + 1:
         raise ContractError(
             f"need T > (1+p)L + 1 = {K + 1} for residual degrees of freedom"
         )
+    if design.n_obs != T:
+        raise ContractError("design row count does not match residuals")
     dof = T - K
     j_stat = hda_j_stat(E)
-    sigma_diag = (E * E).sum(axis=0) / dof
     ratio = design.omega_T / T
-    m_hat = ratio * float(np.mean(sigma_diag))
-    if T < N:
-        G = E @ E.T
-    else:
-        G = E.T @ E
-    fro_sq = float(np.vdot(G, G)) / dof**2
-    v_hat = 2.0 * ratio**2 * fro_sq / N**2
+    m_hat = ratio * float(np.vdot(E, E)) / (dof * N)
+    hv = design.h
+    hh = float(hv @ hv)
+    c = hv @ E
+    cc = float(c @ c)
+    a = fit.residuals_tilde @ c
+    fro_sq = float(np.vdot(fit.gram_tilde, fit.gram_tilde))
+    fro_sq += 2.0 * float(a @ a) / hh + cc * cc / (hh * hh)
+    v_hat = 2.0 * ratio**2 * fro_sq / (dof**2 * N**2)
     if v_hat <= 0.0:
         raise DegenerateStatisticError("variance estimate is non-positive")
     stat = (j_stat - m_hat) / math.sqrt(v_hat)
@@ -342,7 +348,7 @@ def mnt_test(residuals, p_effective: int) -> TestResult:
             f"need T > p_effective + 1 = {p_effective + 1}, got T={T}"
         )
     dof = T - p_effective - 1
-    sigma_diag = (E * E).sum(axis=0) / dof
+    sigma_diag = np.einsum("tn,tn->n", E, E) / dof
     if np.any(sigma_diag <= 0.0):
         bad = int(np.argmin(sigma_diag))
         raise DegenerateStatisticError(
@@ -415,8 +421,7 @@ def run_all_tests(
             "knot-selection",
             lambda: select_knots_bic(Y, F, order=order),
         )
-    config = SplineConfig(knots, order)
-    design = _stage("design", lambda: build_design(F, config))
+    design = _stage("design", lambda: build_design(F, SplineConfig(knots, order)))
     fit = _stage("fit", lambda: fit_panel(Y, design))
     loc = _stage(
         "spatial-median",
@@ -425,12 +430,10 @@ def run_all_tests(
     moments = _stage(
         "moments", lambda: moment_estimates(loc, design.omega_T)
     )
-    hda = _stage("HDA", lambda: hda_test(fit.residuals, design))
+    hda = _stage("HDA", lambda: hda_test(fit, design))
     mnt = _stage("MNT", lambda: mnt_test(fit.residuals, p))
     csm = _stage("CSM", lambda: csm_test(loc, moments, T, N))
-    css = _stage(
-        "CSS", lambda: css_test(fit.residuals, fit.residuals_tilde, design)
-    )
+    css = _stage("CSS", lambda: css_test(fit, design))
     ada = TestResult(
         "Ada",
         None,

@@ -169,6 +169,15 @@ def test_failed_replications_are_flagged(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_cell_no_replication_can_run_raises(workers):
+    # N = 2 is below the max-type tests' N >= 3: a caller's error, raised
+    # with its stage, not four failed replications; 4 reps at 2 workers
+    # take the pool
+    with pytest.raises(ContractError, match="^MNT: .*needs N >= 3"):
+        run_experiment(_tiny_config(N=2, reps=4), workers=workers)
+
+
 def test_pool_matches_serial_bit_for_bit():
     config = _tiny_config(reps=4)
     serial = run_experiment(config, workers=1)

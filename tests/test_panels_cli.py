@@ -341,11 +341,36 @@ def test_cli_exit_codes(cli_files, capsys):
         code = main(["simulate-power", "--N", "10", "--T", "70", "--reps", "1", "--strength-grid", bad])
         assert code == 1, bad
         assert "invalid --strength-grid value" in capsys.readouterr().err
-    # knot candidates must be a comma list of integers
-    for bad in ("a,b", ",", "1,,2"):
+    # knot candidates must be a comma list of non-negative integers
+    for bad in ("a,b", ",", "1,,2", "-1", "1,-2"):
         code = main(["knots", cli_files["panel"], cli_files["factors"], "--candidates", bad])
         assert code == 1, bad
         assert "invalid --candidates value" in capsys.readouterr().err
+
+
+def test_cli_caller_errors_are_not_numerical_failures(cli_files, capsys):
+    # a spline order below 1 fails the auto knot search's input check, and
+    # a simulation cell that no replication can run fails as a whole; both
+    # are data errors that name their stage, not numerical failures (3) or
+    # a table of nan rates (0)
+    panel, factors = cli_files["panel"], cli_files["factors"]
+    capsys.readouterr()
+    assert main(["test", panel, factors, "--order", "0"]) == 2
+    assert "data error: knot-selection: spline order must be >= 1" in capsys.readouterr().err
+    assert main(["knots", panel, factors, "--order", "0"]) == 2
+    assert "data error: spline order must be >= 1" in capsys.readouterr().err
+    for argv, message in (
+        (["--N", "2"], "MNT: max-type calibration needs N >= 3"),
+        (["--order", "0"], "design: spline order must be >= 1"),
+        (["--T", "5"], "design: need T >= (1+p)L + 1"),
+    ):
+        base = ["simulate-size", "--N", "10", "--T", "70", "--reps", "2", "--knots", "1", "--workers", "1"]
+        assert main(base + argv) == 2, argv
+        assert f"data error: {message}" in capsys.readouterr().err
+    argv = ["simulate-power", "--N", "10", "--T", "70", "--reps", "2", "--knots", "1",
+            "--workers", "1", "--sparsity", "20", "--strength-grid", "2"]
+    assert main(argv) == 2
+    assert "data error: sparsity 20 exceeds the number of assets 10" in capsys.readouterr().err
 
 
 def test_cli_knots_table(cli_files):

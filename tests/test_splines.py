@@ -222,6 +222,12 @@ def test_knot_selection_failure_modes(small_sim):
     bad_y[3, 1] = np.inf
     with pytest.raises(ContractError, match="non-finite"):
         select_knots_bic(bad_y, tiny_f, candidates=[1, 2])
+    # so are a negative candidate and an order below 1, even next to usable
+    # candidates
+    with pytest.raises(ContractError, match="got -1"):
+        select_knots_bic(tiny_y, tiny_f, candidates=[1, -1])
+    with pytest.raises(ContractError, match="order must be >= 1"):
+        select_knots_bic(tiny_y, tiny_f, candidates=[1, 2], order=0)
 
 
 def _loop_basis_matrix(knots, order, u):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import orth
 
 from alphasign import cli, panels
-from alphasign.basis import SplineConfig, build_design, fit_panel
+from alphasign.basis import FitResult, SplineConfig, build_design, fit_panel
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
 from alphasign.spatial import MomentEstimates, SpatialLocation, _row_signs
@@ -104,21 +104,25 @@ def test_cauchy_combination_validation_and_clamping():
 def test_trace_hand_cases():
     # identical unit sign vectors: every cross product is one
     pair = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert trace_sigma_u_sq(pair, np.ones(2)) == pytest.approx(1.0, abs=1e-14)
+    assert trace_sigma_u_sq(pair @ pair.T, np.ones(2)) == pytest.approx(1.0, abs=1e-14)
     s22 = math.sqrt(2.0) / 2.0
     rows = np.array([[1.0, 0.0], [s22, s22], [-s22, s22]])
-    assert trace_sigma_u_sq(rows, np.ones(3)) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert trace_sigma_u_sq(rows @ rows.T, np.ones(3)) == pytest.approx(1.0 / 3.0, abs=1e-14)
     # mutually orthogonal sign vectors: no cross signal at all
-    assert trace_sigma_u_sq(np.eye(3), np.ones(3)) == pytest.approx(0.0, abs=1e-14)
+    rows = np.eye(3)
+    assert trace_sigma_u_sq(rows @ rows.T, np.ones(3)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_trace_guards():
+    rows = np.eye(2)
     with pytest.raises(DegenerateStatisticError, match="h'h > 1"):
-        trace_sigma_u_sq(np.eye(2), np.array([1.0, 0.0]))
+        trace_sigma_u_sq(rows @ rows.T, np.array([1.0, 0.0]))
+    rows = np.eye(3)
     with pytest.raises(ContractError):
-        trace_sigma_u_sq(np.eye(3), np.ones(2))
+        trace_sigma_u_sq(rows @ rows.T, np.ones(2))
+    rows = np.ones((1, 2))
     with pytest.raises(ContractError):
-        trace_sigma_u_sq(np.ones((1, 2)), np.ones(1))
+        trace_sigma_u_sq(rows @ rows.T, np.ones(1))
 
 
 def test_css_orthogonal_signs_have_no_normalizer():
@@ -128,18 +132,18 @@ def test_css_orthogonal_signs_have_no_normalizer():
     assert np.allclose(design.h, 1.0, rtol=0.0, atol=1e-12)
     signs = np.eye(10)[:8]
     with pytest.raises(DegenerateStatisticError, match="trace estimate must be positive"):
-        css_test(signs, signs, design)
+        css_test(FitResult(signs, signs), design)
 
 
 def test_css_input_guards(small_sim, small_design, small_fit):
     E, E_tilde = small_fit.residuals, small_fit.residuals_tilde
     with pytest.raises(ContractError):
-        css_test(E[:, 0], E_tilde, small_design)
+        css_test(FitResult(E[:, 0], E_tilde), small_design)
     other = build_design(small_sim.factors[:100], SplineConfig(2, 3))
     with pytest.raises(ContractError, match="design row count"):
-        css_test(E, E_tilde, other)
+        css_test(FitResult(E, E_tilde), other)
     with pytest.raises(ContractError):
-        css_test(E, E_tilde[:100], small_design)
+        css_test(FitResult(E, E_tilde[:100]), small_design)
 
 
 def test_css_and_trace_match_the_sign_matrix_form(small_design, small_fit):
@@ -154,14 +158,14 @@ def test_css_and_trace_match_the_sign_matrix_form(small_design, small_fit):
     W = (_row_signs(E_tilde) @ _row_signs(E_tilde).T) ** 2
     np.fill_diagonal(W, 0.0)
     trace = float(h2 @ W @ h2) / (hh * (hh - 1.0))
-    assert trace_sigma_u_sq(E_tilde, h) == pytest.approx(trace, rel=1e-12, abs=0.0)
+    assert trace_sigma_u_sq(E_tilde @ E_tilde.T, h) == pytest.approx(trace, rel=1e-12, abs=0.0)
 
     Sh = _row_signs(E).T @ h
     bias = projection_sign_bias(small_design)
     numerator = float(Sh @ Sh) / hh - 1.0 - bias
     var_factor = 1.0 - float(np.sum(h**4)) / (hh * hh) + 2.0 * bias
     stat = numerator / math.sqrt(2.0 * trace * var_factor)
-    assert css_test(E, E_tilde, small_design).statistic == pytest.approx(stat, rel=1e-12, abs=0.0)
+    assert css_test(FitResult(E, E_tilde), small_design).statistic == pytest.approx(stat, rel=1e-12, abs=0.0)
 
 
 def test_css_design_corrections_match_manual_recomputation(small_sim, small_design, small_fit):
@@ -183,13 +187,13 @@ def test_css_design_corrections_match_manual_recomputation(small_sim, small_desi
     E = fit.residuals
     signs = E / np.linalg.norm(E, axis=1)[:, None]
     numerator = float((signs.T @ h) @ (signs.T @ h)) / hh - 1.0 - bias
-    trace = trace_sigma_u_sq(fit.residuals_tilde, h)
+    trace = trace_sigma_u_sq(fit.residuals_tilde @ fit.residuals_tilde.T, h)
     var_factor = 1.0 - float(np.sum(h**4)) / (hh * hh) + 2.0 * bias
     stat = numerator / math.sqrt(2.0 * trace * var_factor)
     nu = 1.0 / (trace * var_factor)
     p = scipy.stats.chi2.sf(nu + stat * math.sqrt(2.0 * nu), df=nu)
 
-    result = css_test(E, fit.residuals_tilde, design)
+    result = css_test(FitResult(E, fit.residuals_tilde), design)
     assert result.name == "CSS"
     assert result.reference == REFERENCES["CSS"] == "scaled-chi-square"
     assert result.statistic == pytest.approx(stat, abs=1e-9)
@@ -215,14 +219,70 @@ def test_hda_j_stat_values():
 
 
 def test_hda_test_contract(small_design, small_fit):
-    result = hda_test(small_fit.residuals, small_design)
+    result = hda_test(FitResult(small_fit.residuals, small_fit.residuals_tilde), small_design)
     assert result.name == "HDA"
     assert result.p_value == pytest.approx(
         float(scipy.stats.norm.sf(result.statistic)), abs=1e-13
     )
     short = small_fit.residuals[: small_design.n_columns + 1]
+    short_tilde = small_fit.residuals_tilde[: small_design.n_columns + 1]
     with pytest.raises(ContractError):
-        hda_test(short, small_design)
+        hda_test(FitResult(short, short_tilde), small_design)
+
+
+def _reference_hda_statistic(E, design):
+    # the statistic as first written: column sums of squares for the mean
+    # and the Frobenius norm of E'E for the variance
+    T, N = E.shape
+    dof = T - design.n_columns
+    ratio = design.omega_T / T
+    j_stat = float(np.mean(E.sum(axis=0) ** 2)) / T
+    m_hat = ratio * float(np.mean((E * E).sum(axis=0) / dof))
+    G = E.T @ E
+    v_hat = 2.0 * ratio**2 * float(np.sum(G * G)) / dof**2 / N**2
+    return (j_stat - m_hat) / math.sqrt(v_hat)
+
+
+def _near_exact_fit_panel():
+    # the panel of test_knot_score.test_bic_score_near_exact_fit_matches_reference
+    rng = np.random.default_rng(77)
+    factors = rng.standard_normal((120, 2))
+    Z_tilde = build_design(factors, SplineConfig(3, 3)).Z_tilde
+    Y = Z_tilde @ rng.standard_normal((Z_tilde.shape[1], 15))
+    Y += 1e-9 * rng.standard_normal(Y.shape)
+    return Y, factors
+
+
+def _sim_panel(N, T, alpha):
+    sim = simulate_panel(1, ErrorScenario("t"), alpha, N, T, np.random.default_rng(N + T))
+    return sim.panel, sim.factors
+
+
+@pytest.mark.parametrize(
+    "panel, knots",
+    [
+        (lambda: _sim_panel(60, 40, AlphaSpec()), 2),  # T < N
+        (lambda: _sim_panel(25, 140, AlphaSpec()), 2),  # T > N
+        (_near_exact_fit_panel, 3),
+        (lambda: _sim_panel(30, 120, AlphaSpec(sparsity=30, strength=40.0)), 2),
+    ],
+    ids=["T<N", "T>N", "near-exact-fit", "strong-alpha"],
+)
+def test_hda_matches_the_direct_frobenius_form(panel, knots):
+    Y, factors = panel()
+    design = build_design(factors, SplineConfig(knots, 3))
+    fit = fit_panel(Y, design)
+    ref = _reference_hda_statistic(fit.residuals, design)
+    assert hda_test(fit, design).statistic == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_fit_owns_one_read_only_gram(small_fit):
+    E_tilde = small_fit.residuals_tilde
+    assert np.array_equal(small_fit.gram_tilde, E_tilde @ E_tilde.T)
+    for arr in (small_fit.residuals, E_tilde, small_fit.gram_tilde):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        small_fit.gram_tilde[0, 0] = 0.0
 
 
 def test_mnt_statistic_hand_case():
