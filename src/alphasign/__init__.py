@@ -57,10 +57,8 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     RollingResult,
-    collect_replications,
     replication_rng,
     resolve_knots,
-    resolve_workers,
     rolling_windows,
     run_experiment,
     run_replication_results,

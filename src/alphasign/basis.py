@@ -36,6 +36,11 @@ RCOND_MIN = 1e-12
 _RSS_FALLBACK = 1e-3
 
 
+def _is_count(value) -> bool:
+    """Whether value is an integer (a numpy integer too, but not a bool)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SplineConfig:
     """Clamped B-spline space on [0, 1].
@@ -52,12 +57,14 @@ class SplineConfig:
     order: int = 3
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ContractError(f"spline order must be >= 1, got {self.order}")
-        if self.interior_knots < 0:
-            raise ContractError(
-                f"interior knot count must be >= 0, got {self.interior_knots}"
-            )
+        for name, value, least in (
+            ("spline order", self.order, 1),
+            ("interior knot count", self.interior_knots, 0),
+        ):
+            if not _is_count(value):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ContractError(f"{name} must be >= {least}, got {value}")
 
     @property
     def basis_dim(self) -> int:
@@ -419,7 +426,7 @@ def _check_knots(knots) -> int | str:
     """A knot policy: a non-negative integer count (returned as int) or "auto"."""
     if isinstance(knots, str) and knots == "auto":
         return knots
-    if isinstance(knots, (int, np.integer)) and not isinstance(knots, bool) and knots >= 0:
+    if _is_count(knots) and knots >= 0:
         return int(knots)
     raise ContractError(f"knots must be a non-negative integer or 'auto', got {knots!r}")
 
@@ -436,18 +443,19 @@ def _score_knot_candidates(panel, factors, candidates, order: int):
     Returns ({n: score, or None when the candidate is unusable}, best n),
     keyed in ascending n. Candidates with too few observations or singular
     designs are unusable; ties break toward the smaller knot count. Raises
-    ContractError if the candidate set is empty, holds a negative count,
-    the order is below 1, or the panel and factors disagree in rows or hold
-    non-finite values, and SingularDesignError if every candidate is
-    unusable. OpenBLAS runs at one thread for the call.
+    ContractError if the candidate set is empty or holds a count that is
+    not a non-negative integer, the order is not an integer >= 1, or the
+    panel and factors disagree in rows or hold non-finite values, and
+    SingularDesignError if every candidate is unusable. OpenBLAS runs at
+    one thread for the call.
     """
-    cand = sorted(set(int(c) for c in candidates))
+    cand = sorted(set(candidates))
     if not cand:
         raise ContractError("candidate set for knot selection is empty")
     # Input errors are the caller's, not a candidate's: raise them here, so
     # the loop below only meets a candidate's own failures (too few
     # observations or a singular design).
-    configs = [SplineConfig(_check_knots(n), order) for n in cand]
+    configs = [SplineConfig(n, order) for n in cand]
     Y, f = _panel_and_factors(panel, factors)
     scores, failures = {}, []
     for config in configs:

@@ -87,6 +87,19 @@ def _parse_level(text: str) -> float:
     return level
 
 
+def _parse_workers(text: str) -> int:
+    """--workers: a process count of at least 1."""
+    try:
+        workers = int(text)
+        if workers < 1:
+            raise ValueError(text)
+    except ValueError:
+        raise _UsageError(
+            f"invalid --workers value: {text!r} (must be an integer >= 1)"
+        ) from None
+    return workers
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="alphasign", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"alphasign {__version__}")
@@ -106,30 +119,24 @@ def _build_parser() -> _Parser:
     p_test.add_argument("--level", type=_parse_level, default=0.05, help="rejection level for the reject column")
     add_common(p_test)
 
-    p_size = sub.add_parser("simulate-size", help="null rejection rates for one cell")
-    p_size.add_argument("--example", type=int, default=1, choices=(1, 2, 3))
-    p_size.add_argument("--errors", default="normal", choices=ERROR_SCENARIO_KINDS)
-    p_size.add_argument("--N", type=int, default=200)
-    p_size.add_argument("--T", type=int, default=350)
-    p_size.add_argument("--reps", type=int, default=500)
-    p_size.add_argument("--seed", type=int, default=1)
-    p_size.add_argument("--level", type=_parse_level, default=0.05)
-    p_size.add_argument("--workers", type=int, default=None)
-    add_common(p_size)
+    def add_cell(p):
+        p.add_argument("--example", type=int, default=1, choices=(1, 2, 3))
+        p.add_argument("--errors", default="normal", choices=ERROR_SCENARIO_KINDS)
+        p.add_argument("--N", type=int, default=200)
+        p.add_argument("--T", type=int, default=350)
+        p.add_argument("--reps", type=int, default=500)
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--level", type=_parse_level, default=0.05)
+        p.add_argument("--workers", type=_parse_workers, default=None, help="processes (default: one per core)")
+        add_common(p)
+
+    add_cell(sub.add_parser("simulate-size", help="null rejection rates for one cell"))
 
     p_pow = sub.add_parser("simulate-power", help="rejection rates along a strength grid")
-    p_pow.add_argument("--example", type=int, default=1, choices=(1, 2, 3))
-    p_pow.add_argument("--errors", default="normal", choices=ERROR_SCENARIO_KINDS)
-    p_pow.add_argument("--N", type=int, default=200)
-    p_pow.add_argument("--T", type=int, default=350)
-    p_pow.add_argument("--reps", type=int, default=500)
-    p_pow.add_argument("--seed", type=int, default=1)
-    p_pow.add_argument("--level", type=_parse_level, default=0.05)
     p_pow.add_argument("--sparsity", type=int, default=2)
     p_pow.add_argument("--strength-grid", default="2,4,6,8,10,12,14,16,18,20")
     p_pow.add_argument("--alpha-mode", default="constant", choices=("constant", "over_T"))
-    p_pow.add_argument("--workers", type=int, default=None)
-    add_common(p_pow)
+    add_cell(p_pow)
 
     p_roll = sub.add_parser("rolling", help="rolling-window p-values")
     p_roll.add_argument("panel")
@@ -246,30 +253,25 @@ def _experiment_config(args, alpha: AlphaSpec) -> ExperimentConfig:
     )
 
 
+# The options that describe a simulation cell in both simulate commands'
+# provenance lines; the seed has a field of its own.
+_CELL_KEYS = ("example", "errors", "N", "T", "reps", "level", "knots", "order")
+
+
+def _cell_provenance(args, *extra_keys: str) -> str:
+    items = {key: getattr(args, key) for key in _CELL_KEYS + extra_keys}
+    return panels.provenance_line({"command": args.command, **items}, seed=args.seed)
+
+
 def _cmd_simulate_size(args) -> int:
     config = _experiment_config(args, AlphaSpec())
     report = run_experiment(config, workers=args.workers)
-    prov = panels.provenance_line(
-        {
-            "command": "simulate-size",
-            "example": args.example,
-            "errors": args.errors,
-            "N": args.N,
-            "T": args.T,
-            "reps": args.reps,
-            "level": args.level,
-            "knots": args.knots,
-            "order": args.order,
-        },
-        seed=args.seed,
-    )
-    # wall time stays out of the table so identical configurations give identical bytes
     rows = [
         [name, panels.format_float(rate), config.reps, report.failures, int(report.valid)]
         for name, rate in report.rejection_rates.items()
     ]
     header = ["test", "rejection_rate", "reps", "failures", "valid"]
-    panels.write_table(args.out, header, rows, [prov])
+    panels.write_table(args.out, header, rows, [_cell_provenance(args)])
     return 0
 
 
@@ -285,23 +287,7 @@ def _cmd_simulate_power(args) -> int:
         cell = [args.example, args.errors, args.N, args.T, args.sparsity, panels.format_float(c)]
         for name in TEST_NAMES:
             rows.append(cell + [name, panels.format_float(report.rejection_rates[name])])
-    prov = panels.provenance_line(
-        {
-            "command": "simulate-power",
-            "example": args.example,
-            "errors": args.errors,
-            "N": args.N,
-            "T": args.T,
-            "reps": args.reps,
-            "level": args.level,
-            "sparsity": args.sparsity,
-            "strength_grid": args.strength_grid,
-            "alpha_mode": args.alpha_mode,
-            "knots": args.knots,
-            "order": args.order,
-        },
-        seed=args.seed,
-    )
+    prov = _cell_provenance(args, "sparsity", "strength_grid", "alpha_mode")
     header = ["example", "scenario", "N", "T", "sparsity", "strength", "test", "rejection_rate"]
     panels.write_table(args.out, header, rows, [prov])
     return 0

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import ContractError
 
 BURN_IN = 50
@@ -211,8 +212,11 @@ def error_covariance(N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+@one_blas_thread()
 def _error_cov_factors(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor and symmetric square root of error_covariance(N)."""
+    """Cholesky factor and symmetric square root of error_covariance(N),
+    factored at one BLAS thread: every later draw at this N uses them, so
+    they must not depend on the thread count of whichever call came first."""
     cov = error_covariance(N)
     chol = np.linalg.cholesky(cov)
     vals, vecs = np.linalg.eigh(cov)

@@ -11,13 +11,13 @@ produce identical results on the overlap.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .basis import _check_knots, _panel_and_factors, select_knots_bic
+from .blas import one_blas_thread
 from .dgp import AlphaSpec, ErrorScenario, simulate_panel
 from .errors import NUMERICAL_ERRORS, ContractError
 from .stat_tests import TEST_NAMES, TestResult, run_all_tests
@@ -71,7 +71,6 @@ class ExperimentReport:
     config: ExperimentConfig
     rejection_rates: dict[str, float]
     failures: int
-    wall_time: float
     valid: bool
     chosen_knots: int
     p_values: dict[str, np.ndarray] = field(repr=False)
@@ -86,6 +85,15 @@ def replication_rng(seed: int, rep_index: int) -> np.random.Generator:
     )
 
 
+def _simulate(config: ExperimentConfig, rep_index: int):
+    """Replication rep_index's simulated panel."""
+    rng = replication_rng(config.seed, rep_index)
+    return simulate_panel(
+        config.example, config.scenario, config.alpha_spec, config.N, config.T, rng
+    )
+
+
+@one_blas_thread()
 def resolve_knots(config: ExperimentConfig) -> int:
     """Materialize the cell's knot choice.
 
@@ -95,71 +103,56 @@ def resolve_knots(config: ExperimentConfig) -> int:
     """
     if config.knots != "auto":
         return config.knots
-    rng = replication_rng(config.seed, 0)
-    sim = simulate_panel(
-        config.example, config.scenario, config.alpha_spec, config.N, config.T, rng
-    )
+    sim = _simulate(config, 0)
     return select_knots_bic(sim.panel, sim.factors, order=config.order)
 
 
+@one_blas_thread()
 def run_replication_results(
     config: ExperimentConfig, rep_index: int
 ) -> list[TestResult]:
-    """Simulate replication rep_index and run the full battery on it."""
+    """Simulate replication rep_index and run the full battery on it, with
+    OpenBLAS at one thread for both, so the result does not depend on the
+    caller's thread count."""
     knots = resolve_knots(config)
-    rng = replication_rng(config.seed, rep_index)
-    sim = simulate_panel(
-        config.example, config.scenario, config.alpha_spec, config.N, config.T, rng
-    )
+    sim = _simulate(config, rep_index)
     return run_all_tests(sim.panel, sim.factors, knots=knots, order=config.order)
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: the explicit argument (at least 1), else cpu_count."""
-    if workers is not None:
-        return max(1, int(workers))
-    return os.cpu_count() or 1
-
-
-def _replication_worker(args: tuple[ExperimentConfig, int]):
-    """(rep index, the six p-values in TEST_NAMES order or None on a
-    numerical failure). Any other error, such as a ContractError from a
+def _replication_pvalues(args: tuple[ExperimentConfig, int]):
+    """The six p-values of one replication in TEST_NAMES order, or None on
+    a numerical failure. Any other error, such as a ContractError from a
     cell no replication can run, propagates to the caller."""
-    config, idx = args
     try:
-        return idx, tuple(r.p_value for r in run_replication_results(config, idx))
+        return tuple(r.p_value for r in run_replication_results(*args))
     except NUMERICAL_ERRORS:
-        return idx, None
-
-
-def collect_replications(
-    config: ExperimentConfig, workers: int | None = None
-) -> list[tuple[float, ...] | None]:
-    """Each replication's p-values in TEST_NAMES order, in rep order; None
-    marks a failure."""
-    eff = replace(config, knots=resolve_knots(config))
-    n_workers = resolve_workers(workers)
-    jobs = [(eff, i) for i in range(config.reps)]
-    out: list[tuple[float, ...] | None] = [None] * config.reps
-    if n_workers == 1 or config.reps < 4:
-        for job in jobs:
-            idx, res = _replication_worker(job)
-            out[idx] = res
-    else:
-        chunk = max(1, config.reps // (n_workers * 8))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for idx, res in pool.map(_replication_worker, jobs, chunksize=chunk):
-                out[idx] = res
-    return out
+        return None
 
 
 def run_experiment(
     config: ExperimentConfig, workers: int | None = None
 ) -> ExperimentReport:
-    """Run all replications of a cell and aggregate rejection rates."""
-    t0 = time.perf_counter()
+    """Run all replications of a cell and aggregate rejection rates.
+
+    The knots are resolved once for the cell. The replications run in this
+    process when min(workers, reps) is 1, else on a pool of that many
+    processes; workers defaults to the core count. Either way each
+    replication runs at one BLAS thread, so the p-values do not depend on
+    the worker count.
+    """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ContractError(f"workers must be >= 1, got {workers}")
     eff = replace(config, knots=resolve_knots(config))
-    rows = collect_replications(eff, workers)
+    jobs = [(eff, i) for i in range(config.reps)]
+    n_workers = min(workers, config.reps)
+    if n_workers == 1:
+        rows = list(map(_replication_pvalues, jobs))
+    else:
+        chunk = max(1, config.reps // (n_workers * 8))
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            rows = list(pool.map(_replication_pvalues, jobs, chunksize=chunk))
     failures = sum(1 for r in rows if r is None)
     p_values: dict[str, np.ndarray] = {}
     rates: dict[str, float] = {}
@@ -170,12 +163,10 @@ def run_experiment(
         p_values[name] = vals
         ok = vals[~np.isnan(vals)]
         rates[name] = float(np.mean(ok < config.gamma)) if ok.size else float("nan")
-    wall = time.perf_counter() - t0
     return ExperimentReport(
         config=config,
         rejection_rates=rates,
         failures=failures,
-        wall_time=wall,
         valid=failures <= MAX_FAILURE_SHARE * config.reps,
         chosen_knots=eff.knots,
         p_values=p_values,

@@ -1,8 +1,12 @@
-"""OpenBLAS runs at one thread inside a battery and gets its count back."""
+"""OpenBLAS runs at one thread inside a battery and a replication, and gets
+its count back."""
 
+import numpy as np
 import pytest
 
-from alphasign import basis, blas, stat_tests
+from alphasign import basis, blas, dgp, stat_tests
+from alphasign.dgp import ErrorScenario
+from alphasign.harness import ExperimentConfig, run_replication_results
 
 controls = blas._openblas_controls()
 needs_openblas = pytest.mark.skipif(controls is None, reason="numpy is not linked to a findable OpenBLAS")
@@ -64,3 +68,43 @@ def test_knot_search_runs_at_one_blas_thread(small_sim, monkeypatch):
         assert seen == [1, 1] and get() == 2
     finally:
         set_(before)
+
+
+@needs_openblas
+def test_a_replication_does_not_depend_on_the_callers_thread_count():
+    # at N = 400 a simulated panel drawn at two OpenBLAS threads differs
+    # from one drawn at one thread in the last bits, so a replication runs
+    # its simulation as well as its battery at one thread
+    config = ExperimentConfig(
+        example=1, scenario=ErrorScenario("normal"), N=400, T=350, reps=1, seed=1, knots=2
+    )
+    get, set_ = controls
+    before = get()
+    p_values = {}
+    try:
+        for threads in (2, 1):
+            set_(threads)
+            p_values[threads] = [r.p_value for r in run_replication_results(config, 0)]
+            assert get() == threads
+    finally:
+        set_(before)
+    assert p_values[2] == p_values[1]
+
+
+@needs_openblas
+def test_error_covariance_factors_do_not_depend_on_the_thread_count():
+    # the factors are cached per N, so the thread count of the first call
+    # would otherwise reach every later draw at that N
+    get, set_ = controls
+    before = get()
+    factors = {}
+    try:
+        for threads in (2, 1):
+            set_(threads)
+            dgp._error_cov_factors.cache_clear()
+            factors[threads] = dgp._error_cov_factors(200)
+    finally:
+        set_(before)
+        dgp._error_cov_factors.cache_clear()
+    for two, one in zip(factors[2], factors[1]):
+        assert np.array_equal(two, one)

@@ -1,6 +1,4 @@
-"""Replication harness: seeding, worker resolution, aggregation, rolling windows."""
-
-import os
+"""Replication harness: seeding, the cell driver, aggregation, rolling windows."""
 
 import numpy as np
 import pytest
@@ -10,11 +8,9 @@ from alphasign.errors import ContractError, DegenerateScaleError
 from alphasign.harness import (
     MAX_FAILURE_SHARE,
     ExperimentConfig,
-    _replication_worker,
-    collect_replications,
+    _replication_pvalues,
     replication_rng,
     resolve_knots,
-    resolve_workers,
     rolling_windows,
     run_experiment,
     run_replication_results,
@@ -84,10 +80,10 @@ def test_replication_rng_streams():
         replication_rng(123, -1)
 
 
-def test_resolve_workers():
-    assert resolve_workers(3) == 3
-    assert resolve_workers(0) == 1  # floor at one worker
-    assert resolve_workers() == (os.cpu_count() or 1)
+@pytest.mark.parametrize("workers", [0, -4])
+def test_run_experiment_needs_a_worker(workers):
+    with pytest.raises(ContractError, match=f"workers must be >= 1, got {workers}"):
+        run_experiment(_tiny_config(), workers=workers)
 
 
 def test_resolve_knots_materializes_auto():
@@ -120,8 +116,18 @@ def test_run_experiment_tiny_cell_is_deterministic():
         assert np.array_equal(report.p_values[name], again.p_values[name])
 
 
-def test_run_experiment_auto_knots_reports_choice():
+def test_run_experiment_auto_knots_reports_choice(monkeypatch):
+    import alphasign.harness as harness
+
+    real, searches = harness.select_knots_bic, []
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "select_knots_bic", counting)
     report = run_experiment(_tiny_config(knots="auto", reps=2), workers=1)
+    assert len(searches) == 1  # once for the cell, not once per replication
     assert isinstance(report.chosen_knots, int)
     assert report.chosen_knots >= 1
     assert report.failures == 0
@@ -133,8 +139,7 @@ def test_replication_results_align_with_pvalue_dict():
     config = _tiny_config()
     results = run_replication_results(config, 0)
     assert [r.name for r in results] == list(TEST_NAMES)
-    idx, pvals = _replication_worker((config, 0))
-    assert idx == 0
+    pvals = _replication_pvalues((config, 0))
     assert pvals == tuple(r.p_value for r in results)
     report = run_experiment(_tiny_config(reps=1), workers=1)
     assert {name: p[0] for name, p in report.p_values.items()} == dict(
@@ -154,9 +159,7 @@ def test_failed_replications_are_flagged(monkeypatch):
 
     monkeypatch.setattr(harness, "run_replication_results", flaky)
     config = _tiny_config(reps=4)
-    rows = collect_replications(config, workers=1)
-    assert rows[1] is None
-    assert all(rows[i] is not None for i in (0, 2, 3))
+    assert _replication_pvalues((config, 1)) is None
     report = run_experiment(config, workers=1)
     assert report.failures == 1
     assert not report.valid  # 1/4 > MAX_FAILURE_SHARE
@@ -176,6 +179,19 @@ def test_a_cell_no_replication_can_run_raises(workers):
     # take the pool
     with pytest.raises(ContractError, match="^MNT: .*needs N >= 3"):
         run_experiment(_tiny_config(N=2, reps=4), workers=workers)
+
+
+def test_a_pool_starts_only_for_two_or_more_workers_and_reps(monkeypatch):
+    import alphasign.harness as harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    assert run_experiment(_tiny_config(reps=1), workers=4).failures == 0
+    assert run_experiment(_tiny_config(reps=3), workers=1).failures == 0
+    with pytest.raises(AssertionError, match="a pool was started"):
+        run_experiment(_tiny_config(reps=2), workers=2)
 
 
 def test_pool_matches_serial_bit_for_bit():

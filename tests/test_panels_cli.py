@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from alphasign import __version__
 from alphasign.cli import main
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import PanelFormatError
@@ -535,6 +536,50 @@ def test_cli_level_must_lie_strictly_inside_zero_one(cli_files, capsys):
         fh.write("level=nan\n")
     assert main(["simulate-size", "--config", cfg]) == 1
     assert "invalid --level value: 'nan'" in capsys.readouterr().err
+
+
+def test_cli_workers_must_be_a_positive_count(cli_files, capsys):
+    for argv in (
+        ["simulate-size", "--N", "10", "--T", "70", "--reps", "1"],
+        ["simulate-power", "--N", "10", "--T", "70", "--reps", "1", "--strength-grid", "3"],
+    ):
+        for bad in ("0", "-4", "1.5", "x"):
+            assert main(argv + ["--workers", bad]) == 1, (argv[0], bad)
+            assert f"invalid --workers value: {bad!r}" in capsys.readouterr().err
+    cfg = str(cli_files["root"] / "workers.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("workers=0\n")
+    assert main(["simulate-size", "--config", cfg]) == 1
+    assert "invalid --workers value: '0'" in capsys.readouterr().err
+
+
+# Each simulate command with a fixed argv, and the config digest of its
+# provenance line, which must not move: it identifies outputs already written.
+_CELLS = {
+    "simulate-size": (
+        ["--N", "10", "--T", "70", "--reps", "4", "--seed", "5", "--knots", "1"],
+        "68bcb9a9cd63",
+    ),
+    "simulate-power": (
+        ["--N", "10", "--T", "70", "--reps", "4", "--seed", "5", "--sparsity", "1",
+         "--strength-grid", "3,6", "--knots", "1"],
+        "956ce2b6083d",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_CELLS))
+def test_cli_simulate_output_is_fixed_by_its_flags(capsys, command):
+    # one worker and a pool of two give the same bytes, under a provenance
+    # line that the worker count does not enter
+    flags, digest = _CELLS[command]
+    tables = []
+    for workers in ("1", "2"):
+        capsys.readouterr()
+        assert main([command, *flags, "--workers", workers]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    assert tables[0].split("\n", 1)[0] == f"# alphasign {__version__} config={digest} seed=5"
 
 
 def test_cli_knots_flag_takes_a_count_or_auto(cli_files, capsys):

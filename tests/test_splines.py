@@ -27,6 +27,12 @@ def test_spline_config_validation():
         SplineConfig(2, order=0)
     with pytest.raises(ContractError):
         SplineConfig(-1, order=3)
+    # counts are integers: a float or a bool is refused, not truncated or
+    # left for slicing to trip over; numpy integers are counts
+    for knots, order in ((2.7, 3), (2.0, 3), (True, 3), (2, 2.5), (2, True)):
+        with pytest.raises(ContractError, match="must be an integer, got"):
+            SplineConfig(knots, order)
+    assert SplineConfig(np.int64(2), np.int32(3)).basis_dim == 5
     assert SplineConfig(5, order=3).basis_dim == 8
     assert SplineConfig(0, order=1).basis_dim == 1
 
@@ -228,6 +234,10 @@ def test_knot_selection_failure_modes(small_sim):
         select_knots_bic(tiny_y, tiny_f, candidates=[1, -1])
     with pytest.raises(ContractError, match="order must be >= 1"):
         select_knots_bic(tiny_y, tiny_f, candidates=[1, 2], order=0)
+    # a candidate that is not an integer is refused, not scored as int(c)
+    for bad in (2.7, True):
+        with pytest.raises(ContractError, match=f"interior knot count must be an integer, got {bad}"):
+            select_knots_bic(tiny_y, tiny_f, candidates=[2, bad])
 
 
 def _loop_basis_matrix(knots, order, u):
