@@ -18,6 +18,7 @@ scores a candidate from the uncentered twin's basis alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -34,6 +35,11 @@ RCOND_MIN = 1e-12
 # from the residual rather than from ||Y||^2 - ||Q'Y||^2, keeping the
 # subtraction's relative error near eps / 1e-3.
 _RSS_FALLBACK = 1e-3
+
+# Bases kept by _clamped_basis: two panel lengths' default knot searches
+# (8 candidates each), so every window of a rolling run and every
+# replication of a cell reuses its bases.
+_BASIS_CACHE_SIZE = 16
 
 
 def _is_count(value) -> bool:
@@ -111,6 +117,15 @@ def _basis_matrix(knots: np.ndarray, order: int, u: np.ndarray) -> np.ndarray:
         left = (u[:, None] - knots[:cols]) / np.where(den1 > 0.0, den1, np.inf) * B[:, :cols]
         right = (knots[k:] - u[:, None]) / np.where(den2 > 0.0, den2, np.inf) * B[:, 1:]
         B = left + right
+    return B
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _clamped_basis(T: int, interior_knots: int, order: int) -> np.ndarray:
+    """The T x L basis at u = t/T, t = 1..T, shared read-only by every
+    design of this length, knot count and order."""
+    B = _basis_matrix(make_knots(interior_knots, order), order, np.arange(1, T + 1) / T)
+    B.flags.writeable = False
     return B
 
 
@@ -267,9 +282,7 @@ def _factor_twins(f: np.ndarray, config: SplineConfig, rotate: bool) -> _Twins:
         raise ContractError(
             f"need T >= (1+p)L + 1 = {K + 1} observations, got T={T}"
         )
-    knots = make_knots(config.interior_knots, config.order)
-    u = np.arange(1, T + 1) / T
-    B = _basis_matrix(knots, config.order, u)
+    B = _clamped_basis(T, config.interior_knots, config.order)
     mean = B.mean(axis=0)
     B_centered = B - mean
     factor_blocks = [f[:, [j]] * B for j in range(p)]
@@ -408,8 +421,12 @@ def bic_score(panel, factors, config: SplineConfig) -> float:
     design pair is.
     """
     Y, f = _panel_and_factors(panel, factors)
+    return _bic_score(Y, f, float(np.vdot(Y, Y)), config)
+
+
+def _bic_score(Y: np.ndarray, f: np.ndarray, yy: float, config: SplineConfig) -> float:
+    """bic_score on a checked panel Y and factor matrix f, with yy = ||Y||^2."""
     q = _factor_twins(f, config, rotate=False).Q_tilde
-    yy = float(np.vdot(Y, Y))
     fitted = q.T @ Y
     rss = yy - float(np.vdot(fitted, fitted))
     if rss < _RSS_FALLBACK * yy:
@@ -457,11 +474,12 @@ def _score_knot_candidates(panel, factors, candidates, order: int):
     # observations or a singular design).
     configs = [SplineConfig(n, order) for n in cand]
     Y, f = _panel_and_factors(panel, factors)
+    yy = float(np.vdot(Y, Y))
     scores, failures = {}, []
     for config in configs:
         n = config.interior_knots
         try:
-            scores[n] = bic_score(Y, f, config)
+            scores[n] = _bic_score(Y, f, yy, config)
         except (SingularDesignError, ContractError) as exc:
             scores[n] = None
             failures.append(f"n={n}: {exc}")

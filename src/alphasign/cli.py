@@ -9,7 +9,8 @@ error, 3 numerical failure.
 
 `--knots` (on `test`, `rolling`, `simulate-size` and `simulate-power`)
 takes an interior-knot count or `auto`. The simulate commands run their
-replications on `--workers` processes (default: one per core). A flat
+replications, and `rolling` its windows, on `--workers` processes
+(default: one per core); the output does not depend on it. A flat
 key=value config file can stand in for flags (--config FILE); explicit
 flags win on conflict.
 """
@@ -119,6 +120,9 @@ def _build_parser() -> _Parser:
     p_test.add_argument("--level", type=_parse_level, default=0.05, help="rejection level for the reject column")
     add_common(p_test)
 
+    def add_workers(p):
+        p.add_argument("--workers", type=_parse_workers, default=None, help="processes (default: one per core)")
+
     def add_cell(p):
         p.add_argument("--example", type=int, default=1, choices=(1, 2, 3))
         p.add_argument("--errors", default="normal", choices=ERROR_SCENARIO_KINDS)
@@ -127,7 +131,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--reps", type=int, default=500)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--level", type=_parse_level, default=0.05)
-        p.add_argument("--workers", type=_parse_workers, default=None, help="processes (default: one per core)")
+        add_workers(p)
         add_common(p)
 
     add_cell(sub.add_parser("simulate-size", help="null rejection rates for one cell"))
@@ -143,6 +147,7 @@ def _build_parser() -> _Parser:
     p_roll.add_argument("factors")
     p_roll.add_argument("--window", type=int, required=True)
     p_roll.add_argument("--tests", default=",".join(TEST_NAMES))
+    add_workers(p_roll)
     add_common(p_roll)
 
     p_knots = sub.add_parser("knots", help="information-criterion table for knot counts")
@@ -303,6 +308,7 @@ def _cmd_rolling(args) -> int:
         tests=_parse_tests(args.tests),
         knots=_parse_knots(args.knots),
         order=args.order,
+        workers=args.workers,
     )
     prov = panels.provenance_line(
         {

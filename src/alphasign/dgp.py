@@ -309,6 +309,7 @@ class SimulatedPanel:
     support: np.ndarray
 
 
+@one_blas_thread()
 def simulate_panel(
     example: int,
     scenario: ErrorScenario,
@@ -320,7 +321,9 @@ def simulate_panel(
     """Full draw for one replication.
 
     Consumption order extends assemble_panel: factors, latent state,
-    errors, then the intercept support and levels.
+    errors, then the intercept support and levels. OpenBLAS runs at one
+    thread for the draw, so a panel drawn here is bit-identical to the
+    same replication's draw inside the harness.
     """
     base, F = assemble_panel(example, N, T, rng, scenario)
     alpha, support = gen_alpha(alpha_spec, N, T, rng)

@@ -19,7 +19,7 @@ import numpy as np
 from .basis import _check_knots, _panel_and_factors, select_knots_bic
 from .blas import one_blas_thread
 from .dgp import AlphaSpec, ErrorScenario, simulate_panel
-from .errors import NUMERICAL_ERRORS, ContractError
+from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError
 from .stat_tests import TEST_NAMES, TestResult, run_all_tests
 
 # A run with more than this share of failed replications is flagged invalid.
@@ -129,6 +129,28 @@ def _replication_pvalues(args: tuple[ExperimentConfig, int]):
         return None
 
 
+def _worker_count(workers: int | None) -> int:
+    """The requested process count, defaulting to the core count; fewer
+    than one raises ContractError."""
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ContractError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+def _map_in_order(fn, jobs: list, workers: int) -> list:
+    """fn over jobs, results in job order: in this process when
+    min(workers, len(jobs)) is 1, else on one pool of that many processes.
+    An error a job raises reaches the caller either way."""
+    n_workers = min(workers, len(jobs))
+    if n_workers == 1:
+        return list(map(fn, jobs))
+    chunk = max(1, len(jobs) // (n_workers * 8))
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunk))
+
+
 def run_experiment(
     config: ExperimentConfig, workers: int | None = None
 ) -> ExperimentReport:
@@ -140,19 +162,10 @@ def run_experiment(
     replication runs at one BLAS thread, so the p-values do not depend on
     the worker count.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ContractError(f"workers must be >= 1, got {workers}")
+    workers = _worker_count(workers)
     eff = replace(config, knots=resolve_knots(config))
     jobs = [(eff, i) for i in range(config.reps)]
-    n_workers = min(workers, config.reps)
-    if n_workers == 1:
-        rows = list(map(_replication_pvalues, jobs))
-    else:
-        chunk = max(1, config.reps // (n_workers * 8))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_replication_pvalues, jobs, chunksize=chunk))
+    rows = _map_in_order(_replication_pvalues, jobs, workers)
     failures = sum(1 for r in rows if r is None)
     p_values: dict[str, np.ndarray] = {}
     rates: dict[str, float] = {}
@@ -187,6 +200,30 @@ class RollingResult:
     rejection_ratios: dict[float, dict[str, float]]
 
 
+# Each pool worker takes about this many contiguous blocks of windows, so
+# that a slow block does not leave the other workers idle at the end.
+_BLOCKS_PER_WORKER = 4
+
+
+def _window_block_pvalues(args) -> np.ndarray:
+    """P-values of the consecutive windows whose rows Y, F hold, one row per
+    window and one column per test. first is the 1-based number of the
+    block's first window; an error names the window and its panel rows."""
+    Y, F, first, window, tests, knots, order = args
+    out = np.empty((Y.shape[0] - window + 1, len(tests)))
+    for k in range(out.shape[0]):
+        try:
+            results = run_all_tests(
+                Y[k : k + window], F[k : k + window], knots=knots, order=order
+            )
+        except (AlphaSignError, np.linalg.LinAlgError) as exc:
+            w = first + k
+            raise type(exc)(f"window {w} (rows {w}-{w + window - 1}): {exc}") from exc
+        by_name = {r.name: r.p_value for r in results}
+        out[k] = [by_name[t] for t in tests]
+    return out
+
+
 def rolling_windows(
     panel,
     factors,
@@ -194,6 +231,7 @@ def rolling_windows(
     tests: tuple[str, ...] = TEST_NAMES,
     knots: int | str = "auto",
     order: int = 3,
+    workers: int | None = None,
 ) -> RollingResult:
     """Run the battery on every length-`window` contiguous sub-panel.
 
@@ -201,6 +239,13 @@ def rolling_windows(
     standalone sample (the sieve grid and any knot selection are local to
     the window). Rejection ratios report, per test and each level in
     ROLLING_LEVELS, the share of windows whose p-value falls below it.
+
+    The windows run in about 4 * workers contiguous blocks, each shipped
+    to its process as one slice of rows: in this process when
+    min(workers, windows) is 1, else on a pool of that many processes;
+    workers defaults to the core count. Every battery runs at one BLAS
+    thread, so the p-values do not depend on the worker count. A window's
+    error is re-raised with its window number and rows prefixed.
     """
     Y, F = _panel_and_factors(panel, factors)
     T = Y.shape[0]
@@ -209,15 +254,16 @@ def rolling_windows(
     unknown = set(tests) - set(TEST_NAMES)
     if unknown:
         raise ContractError(f"unknown test names: {sorted(unknown)}")
+    workers = _worker_count(workers)
+    knots = _check_knots(knots)
     n_windows = T - window + 1
     starts = np.arange(1, n_windows + 1)
-    pvals = np.empty((n_windows, len(tests)))
-    for w in range(n_windows):
-        results = run_all_tests(
-            Y[w : w + window], F[w : w + window], knots=knots, order=order
-        )
-        by_name = {r.name: r.p_value for r in results}
-        pvals[w] = [by_name[t] for t in tests]
+    n_blocks = min(n_windows, _BLOCKS_PER_WORKER * workers)
+    jobs = []
+    for block in np.array_split(np.arange(n_windows), n_blocks):
+        rows = slice(int(block[0]), int(block[-1]) + window)
+        jobs.append((Y[rows], F[rows], rows.start + 1, window, tuple(tests), knots, order))
+    pvals = np.concatenate(_map_in_order(_window_block_pvalues, jobs, workers))
     ratios = {
         level: {
             t: float(np.mean(pvals[:, j] < level)) for j, t in enumerate(tests)

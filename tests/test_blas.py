@@ -6,7 +6,7 @@ import pytest
 
 from alphasign import basis, blas, dgp, stat_tests
 from alphasign.dgp import ErrorScenario
-from alphasign.harness import ExperimentConfig, run_replication_results
+from alphasign.harness import ExperimentConfig, _simulate, replication_rng, run_replication_results
 
 controls = blas._openblas_controls()
 needs_openblas = pytest.mark.skipif(controls is None, reason="numpy is not linked to a findable OpenBLAS")
@@ -54,13 +54,13 @@ def test_knot_search_runs_at_one_blas_thread(small_sim, monkeypatch):
     # the CLI's knot table and the harness call the search outside a battery
     get, set_ = controls
     seen = []
-    original = basis.bic_score
+    original = basis._bic_score
 
     def recording(*args, **kwargs):
         seen.append(get())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(basis, "bic_score", recording)
+    monkeypatch.setattr(basis, "_bic_score", recording)
     before = get()
     set_(2)
     try:
@@ -108,3 +108,27 @@ def test_error_covariance_factors_do_not_depend_on_the_thread_count():
         dgp._error_cov_factors.cache_clear()
     for two, one in zip(factors[2], factors[1]):
         assert np.array_equal(two, one)
+
+
+@needs_openblas
+@pytest.mark.parametrize("N", [400, 1000])
+def test_a_direct_draw_is_the_harness_draw(N):
+    # at these N a two-thread draw differs from a one-thread draw in the
+    # last bits, so simulate_panel runs at one thread, as the harness does
+    config = ExperimentConfig(
+        example=1, scenario=ErrorScenario("t"), N=N, T=120, reps=3, seed=4, knots=2
+    )
+    get, set_ = controls
+    before = get()
+    try:
+        set_(2)
+        direct = dgp.simulate_panel(
+            1, config.scenario, config.alpha_spec, N, 120, replication_rng(config.seed, 2)
+        )
+        assert get() == 2
+    finally:
+        set_(before)
+    with blas.one_blas_thread():  # as run_replication_results draws it
+        drawn = _simulate(config, 2)
+    assert np.array_equal(direct.panel, drawn.panel)
+    assert np.array_equal(direct.factors, drawn.factors)

@@ -252,3 +252,62 @@ def test_rolling_windows_with_periodic_panel_repeat():
     rolling = rolling_windows(Y, F, window=20, knots=1, tests=("CSS", "CSM"))
     assert rolling.p_values.shape == (11, 2)
     assert np.allclose(rolling.p_values[0], rolling.p_values[10], atol=1e-12)
+
+
+def _degenerate_window_panel():
+    """A 40-row panel whose asset 2 is zero on rows 9-33 (1-based) only, so
+    that of its 25-row windows exactly window 9 has a constant column."""
+    sim = simulate_panel(
+        1, ErrorScenario("normal"), AlphaSpec(), 6, 40, np.random.default_rng(31)
+    )
+    Y = sim.panel.copy()
+    Y[8:33, 2] = 0.0
+    return Y, sim.factors
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_rolling_windows_need_a_worker(workers):
+    Y, F = _degenerate_window_panel()
+    with pytest.raises(ContractError, match=f"workers must be >= 1, got {workers}"):
+        rolling_windows(Y, F, window=25, knots=1, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_window_is_named(workers):
+    # 16 windows at 2 workers take the pool, which pickles the error back
+    Y, F = _degenerate_window_panel()
+    for w in range(16):
+        if w != 8:
+            run_all_tests(Y[w : w + 25], F[w : w + 25], knots=1)
+    with pytest.raises(DegenerateScaleError) as info:
+        run_all_tests(Y[8:33], F[8:33], knots=1)
+    with pytest.raises(DegenerateScaleError) as named:
+        rolling_windows(Y, F, window=25, knots=1, workers=workers)
+    assert str(named.value) == f"window 9 (rows 9-33): {info.value}"
+
+
+def test_a_rolling_pool_starts_only_for_two_or_more_workers_and_windows(monkeypatch):
+    import alphasign.harness as harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    Y, F = _degenerate_window_panel()
+    assert rolling_windows(Y[:30], F[:30], window=30, knots=1, workers=4).p_values.shape[0] == 1
+    assert rolling_windows(Y[:30], F[:30], window=25, knots=1, workers=1).p_values.shape[0] == 6
+    with pytest.raises(AssertionError, match="a pool was started"):
+        rolling_windows(Y[:30], F[:30], window=29, knots=1, workers=2)
+
+
+def test_rolling_pool_matches_serial_and_direct_batteries_bit_for_bit():
+    sim = simulate_panel(
+        1, ErrorScenario("t"), AlphaSpec(), 12, 90, np.random.default_rng(8)
+    )
+    serial = rolling_windows(sim.panel, sim.factors, window=70, workers=1)
+    pooled = rolling_windows(sim.panel, sim.factors, window=70, workers=2)
+    assert np.array_equal(pooled.p_values, serial.p_values)
+    assert pooled.rejection_ratios == serial.rejection_ratios
+    for w in range(21):
+        direct = run_all_tests(sim.panel[w : w + 70], sim.factors[w : w + 70])
+        assert list(pooled.p_values[w]) == [r.p_value for r in direct]

@@ -542,6 +542,7 @@ def test_cli_workers_must_be_a_positive_count(cli_files, capsys):
     for argv in (
         ["simulate-size", "--N", "10", "--T", "70", "--reps", "1"],
         ["simulate-power", "--N", "10", "--T", "70", "--reps", "1", "--strength-grid", "3"],
+        ["rolling", cli_files["panel"], cli_files["factors"], "--window", "75"],
     ):
         for bad in ("0", "-4", "1.5", "x"):
             assert main(argv + ["--workers", bad]) == 1, (argv[0], bad)
@@ -550,6 +551,8 @@ def test_cli_workers_must_be_a_positive_count(cli_files, capsys):
     with open(cfg, "w") as fh:
         fh.write("workers=0\n")
     assert main(["simulate-size", "--config", cfg]) == 1
+    assert "invalid --workers value: '0'" in capsys.readouterr().err
+    assert main(["rolling", cli_files["panel"], cli_files["factors"], "--window", "75", "--config", cfg]) == 1
     assert "invalid --workers value: '0'" in capsys.readouterr().err
 
 
@@ -580,6 +583,36 @@ def test_cli_simulate_output_is_fixed_by_its_flags(capsys, command):
         tables.append(capsys.readouterr().out)
     assert tables[0] == tables[1]
     assert tables[0].split("\n", 1)[0] == f"# alphasign {__version__} config={digest} seed=5"
+
+
+def test_cli_rolling_output_does_not_depend_on_the_workers(cli_files, capsys):
+    # 6 windows at 2 workers take the pool; the worker count stays out of
+    # the provenance line, since the table does not depend on it
+    argv = ["rolling", cli_files["panel"], cli_files["factors"], "--window", "75", "--knots", "1"]
+    outputs = []
+    for workers in ("1", "2"):
+        capsys.readouterr()
+        assert main(argv + ["--workers", workers]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == outputs[0]
+
+
+def test_cli_rolling_names_the_failing_window(cli_files, capsys):
+    # asset A2 is zero on rows 4-78 only, so of the six 75-row windows just
+    # window 4 has a constant residual column: a numerical failure
+    values = read_panel(cli_files["panel"]).values.copy()
+    values[3:78, 2] = 0.0
+    path = str(cli_files["root"] / "one_bad_window.csv")
+    write_panel(path, values, [f"A{i}" for i in range(8)])
+    for workers in ("1", "2"):
+        capsys.readouterr()
+        argv = ["rolling", path, cli_files["factors"], "--window", "75", "--knots", "1"]
+        assert main(argv + ["--workers", workers]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("alphasign: numerical failure: window 4 (rows 4-78): spatial-median: ")
 
 
 def test_cli_knots_flag_takes_a_count_or_auto(cli_files, capsys):

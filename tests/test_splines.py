@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from alphasign.basis import (
     SplineConfig,
     _basis_matrix,
+    _clamped_basis,
     bic_penalty,
     bic_score,
     bspline_basis,
@@ -273,3 +274,14 @@ def test_basis_matrix_matches_column_loop_bit_for_bit():
                 got = _basis_matrix(knots, order, u)
                 want = _loop_basis_matrix(knots, order, u)
                 assert got.tobytes() == want.tobytes(), (T, order, n)
+
+
+def test_cached_basis_is_read_only_and_exact(small_design):
+    T = small_design.n_obs
+    B = _clamped_basis(T, 2, 3)
+    assert _clamped_basis(T, 2, 3) is B  # one array per (T, knots, order)
+    with pytest.raises(ValueError):
+        B[0, 0] = 1.0
+    direct = _basis_matrix(make_knots(2, 3), 3, np.arange(1, T + 1) / T)
+    assert B.tobytes() == direct.tobytes()
+    assert np.array_equal(small_design.Z_tilde[:, : B.shape[1]], B)
