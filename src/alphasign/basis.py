@@ -421,12 +421,8 @@ def bic_score(panel, factors, config: SplineConfig) -> float:
     design pair is.
     """
     Y, f = _panel_and_factors(panel, factors)
-    return _bic_score(Y, f, float(np.vdot(Y, Y)), config)
-
-
-def _bic_score(Y: np.ndarray, f: np.ndarray, yy: float, config: SplineConfig) -> float:
-    """bic_score on a checked panel Y and factor matrix f, with yy = ||Y||^2."""
     q = _factor_twins(f, config, rotate=False).Q_tilde
+    yy = float(np.vdot(Y, Y))
     fitted = q.T @ Y
     rss = yy - float(np.vdot(fitted, fitted))
     if rss < _RSS_FALLBACK * yy:
@@ -474,12 +470,11 @@ def _score_knot_candidates(panel, factors, candidates, order: int):
     # observations or a singular design).
     configs = [SplineConfig(n, order) for n in cand]
     Y, f = _panel_and_factors(panel, factors)
-    yy = float(np.vdot(Y, Y))
     scores, failures = {}, []
     for config in configs:
         n = config.interior_knots
         try:
-            scores[n] = _bic_score(Y, f, yy, config)
+            scores[n] = bic_score(Y, f, config)
         except (SingularDesignError, ContractError) as exc:
             scores[n] = None
             failures.append(f"n={n}: {exc}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import _check_knots, _panel_and_factors, select_knots_bic
+from .basis import _check_knots, _is_count, _panel_and_factors, select_knots_bic
 from .blas import one_blas_thread
 from .dgp import AlphaSpec, ErrorScenario, simulate_panel
 from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError
@@ -130,25 +130,31 @@ def _replication_pvalues(args: tuple[ExperimentConfig, int]):
 
 
 def _worker_count(workers: int | None) -> int:
-    """The requested process count, defaulting to the core count; fewer
-    than one raises ContractError."""
+    """The requested process count, defaulting to the core count; anything
+    but an integer >= 1 raises ContractError."""
     if workers is None:
         workers = os.cpu_count() or 1
+    if not _is_count(workers):
+        raise ContractError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ContractError(f"workers must be >= 1, got {workers}")
     return workers
 
 
 def _map_in_order(fn, jobs: list, workers: int) -> list:
-    """fn over jobs, results in job order: in this process when
-    min(workers, len(jobs)) is 1, else on one pool of that many processes.
-    An error a job raises reaches the caller either way."""
+    """fn over jobs, results in job order, on n = min(workers, len(jobs))
+    processes: this one alone when n is 1; else this process runs the
+    first len(jobs) // n jobs itself while a pool of n - 1 processes runs
+    the rest. An error a job raises reaches the caller either way, the
+    first failing job's in job order."""
     n_workers = min(workers, len(jobs))
     if n_workers == 1:
         return list(map(fn, jobs))
-    chunk = max(1, len(jobs) // (n_workers * 8))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunk))
+    own = len(jobs) // n_workers
+    chunk = max(1, (len(jobs) - own) // ((n_workers - 1) * 8))
+    with ProcessPoolExecutor(max_workers=n_workers - 1) as pool:
+        rest = pool.map(fn, jobs[own:], chunksize=chunk)
+        return [fn(job) for job in jobs[:own]] + list(rest)
 
 
 def run_experiment(
@@ -156,9 +162,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run all replications of a cell and aggregate rejection rates.
 
-    The knots are resolved once for the cell. The replications run in this
-    process when min(workers, reps) is 1, else on a pool of that many
-    processes; workers defaults to the core count. Either way each
+    The knots are resolved once for the cell. The replications run on
+    min(workers, reps) processes, this one included (see _map_in_order);
+    workers defaults to the core count. Either way each
     replication runs at one BLAS thread, so the p-values do not depend on
     the worker count.
     """
@@ -240,9 +246,9 @@ def rolling_windows(
     the window). Rejection ratios report, per test and each level in
     ROLLING_LEVELS, the share of windows whose p-value falls below it.
 
-    The windows run in about 4 * workers contiguous blocks, each shipped
-    to its process as one slice of rows: in this process when
-    min(workers, windows) is 1, else on a pool of that many processes;
+    The windows run in about 4 * workers contiguous blocks of rows, on
+    the processes of _map_in_order: this one takes the first share, and
+    a pool worker receives each of its blocks as one slice of rows.
     workers defaults to the core count. Every battery runs at one BLAS
     thread, so the p-values do not depend on the worker count. A window's
     error is re-raised with its window number and rows prefixed.

@@ -54,13 +54,13 @@ def test_knot_search_runs_at_one_blas_thread(small_sim, monkeypatch):
     # the CLI's knot table and the harness call the search outside a battery
     get, set_ = controls
     seen = []
-    original = basis._bic_score
+    original = basis.bic_score
 
     def recording(*args, **kwargs):
         seen.append(get())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(basis, "_bic_score", recording)
+    monkeypatch.setattr(basis, "bic_score", recording)
     before = get()
     set_(2)
     try:

@@ -1,5 +1,7 @@
 """Replication harness: seeding, the cell driver, aggregation, rolling windows."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -80,9 +82,16 @@ def test_replication_rng_streams():
         replication_rng(123, -1)
 
 
-@pytest.mark.parametrize("workers", [0, -4])
+def _bad_workers_message(workers) -> str:
+    """The ContractError text for a worker count below 1 or not an integer."""
+    if isinstance(workers, int) and not isinstance(workers, bool):
+        return re.escape(f"workers must be >= 1, got {workers}")
+    return re.escape(f"workers must be an integer, got {workers!r}")
+
+
+@pytest.mark.parametrize("workers", [0, -4, 1.5, True])
 def test_run_experiment_needs_a_worker(workers):
-    with pytest.raises(ContractError, match=f"workers must be >= 1, got {workers}"):
+    with pytest.raises(ContractError, match=_bad_workers_message(workers)):
         run_experiment(_tiny_config(), workers=workers)
 
 
@@ -194,6 +203,31 @@ def test_a_pool_starts_only_for_two_or_more_workers_and_reps(monkeypatch):
         run_experiment(_tiny_config(reps=2), workers=2)
 
 
+def test_the_caller_runs_the_first_share_of_the_jobs(monkeypatch):
+    import alphasign.harness as harness
+
+    pooled = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize):
+            pooled.append((self.max_workers, list(jobs)))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    assert harness._map_in_order(abs, list(range(-7, 0)), 3) == list(range(7, 0, -1))
+    # 7 jobs at 3 workers: this process takes 7 // 3 = 2, a pool of 2 the rest
+    assert pooled == [(2, list(range(-5, 0)))]
+
+
 def test_pool_matches_serial_bit_for_bit():
     config = _tiny_config(reps=4)
     serial = run_experiment(config, workers=1)
@@ -265,10 +299,10 @@ def _degenerate_window_panel():
     return Y, sim.factors
 
 
-@pytest.mark.parametrize("workers", [0, -4])
+@pytest.mark.parametrize("workers", [0, -4, 1.5, True])
 def test_rolling_windows_need_a_worker(workers):
     Y, F = _degenerate_window_panel()
-    with pytest.raises(ContractError, match=f"workers must be >= 1, got {workers}"):
+    with pytest.raises(ContractError, match=_bad_workers_message(workers)):
         rolling_windows(Y, F, window=25, knots=1, workers=workers)
 
 

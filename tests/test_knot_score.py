@@ -9,7 +9,6 @@ import pytest
 
 from alphasign.basis import (
     SplineConfig,
-    _score_knot_candidates,
     bic_penalty,
     bic_score,
     build_design,
@@ -46,20 +45,6 @@ def test_bic_score_matches_full_fit_reference(example):
         assert got[n] == pytest.approx(ref[n], abs=1e-12), n
     winner = min(sorted(ref), key=ref.__getitem__)
     assert select_knots_bic(sim.panel, sim.factors) == winner
-
-
-def test_knot_search_scores_are_bic_scores():
-    # the search checks the panel and sums its squares once; each of its
-    # scores is still exactly the public score
-    sim = simulate_panel(
-        2, ErrorScenario("t"), AlphaSpec(), 40, 150, np.random.default_rng(9)
-    )
-    candidates = list(default_knot_candidates(150)) + [60]
-    scores, _ = _score_knot_candidates(sim.panel, sim.factors, candidates, 3)
-    assert scores[60] is None  # too few observations for 3 factors
-    for n, score in scores.items():
-        if score is not None:
-            assert score == bic_score(sim.panel, sim.factors, SplineConfig(n, 3)), n
 
 
 def test_bic_score_near_exact_fit_matches_reference():
