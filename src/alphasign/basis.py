@@ -13,7 +13,9 @@ supplies the residuals used by variance/trace estimators.
 Each design is factorized once, when built, through the uncentered twin,
 whose span contains the centered one's; it keeps orthonormal bases of
 both twins' column spans, so a fit is two projections. The knot search
-scores a candidate from the uncentered twin's basis alone.
+scores a candidate from the uncentered twin's basis alone. Both take a
+stack of panels of one length (consecutive rolling windows) and factorize
+its twins in one batched call; a single panel is a stack of one.
 """
 
 from __future__ import annotations
@@ -83,11 +85,13 @@ def make_knots(interior_knots: int, order: int = 3) -> np.ndarray:
 
     Interior knot i (1-based) sits at i / (interior_knots + 1); both
     boundary knots are repeated `order` times so the basis is clamped.
+    Either count must be an integer (not a bool), else ContractError.
     """
-    if interior_knots < 0:
-        raise ContractError("interior_knots must be >= 0")
-    if order < 1:
-        raise ContractError("order must be >= 1")
+    for name, value, least in (("interior_knots", interior_knots, 0), ("order", order, 1)):
+        if not _is_count(value):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ContractError(f"{name} must be >= {least}")
     inner = np.arange(1, interior_knots + 1) / (interior_knots + 1)
     return np.concatenate([np.zeros(order), inner, np.ones(order)])
 
@@ -167,9 +171,30 @@ def _panel_and_factors(panel, factors) -> tuple[np.ndarray, np.ndarray]:
     return Y, f
 
 
-def _effective_rcond(s: np.ndarray, structural_nullity: int = 0) -> float:
-    """Reciprocal condition number from singular values, ignoring nulls
-    that are present by construction.
+def _panel_stack(panel, factors) -> tuple[np.ndarray, np.ndarray]:
+    """A (W, T, N) stack of panels and its (W, T, p) stack of factors. A
+    T x N panel with its factors is a stack of one; a stack is taken as
+    is (a view stays a view), with the checks of a single panel."""
+    if np.ndim(panel) != 3:
+        Y, f = _panel_and_factors(panel, factors)
+        return Y[None], f[None]
+    Y, f = np.asarray(panel, dtype=float), np.asarray(factors, dtype=float)
+    if f.ndim != 3 or f.shape[:2] != Y.shape[:2]:
+        raise ContractError(
+            f"a panel stack of shape {Y.shape} needs factors of shape "
+            f"{Y.shape[:2]} + (p,), got {f.shape}"
+        )
+    if not np.all(np.isfinite(Y)):
+        raise ContractError("panel contains non-finite values")
+    if not np.all(np.isfinite(f)):
+        raise ContractError("factors contain non-finite values")
+    return Y, f
+
+
+def _effective_rcond(s: np.ndarray, structural_nullity: int = 0) -> np.ndarray:
+    """Reciprocal condition numbers from singular values (descending along
+    the last axis, one set per leading index), ignoring nulls that are
+    present by construction.
 
     The centered intercept-basis block always contains exactly one exact
     linear dependency: the uncentered basis sums to one at every point, so
@@ -177,12 +202,11 @@ def _effective_rcond(s: np.ndarray, structural_nullity: int = 0) -> float:
     that expected zero singular value from the conditioning measure; any
     deficiency beyond it still drives the result to ~0.
     """
-    if s.size == 0 or s[0] <= 0.0:
-        return 0.0
-    keep = s.size - structural_nullity
+    keep = s.shape[-1] - structural_nullity
     if keep < 1:
-        return 0.0
-    return float(s[keep - 1] / s[0])
+        return np.zeros(s.shape[:-1])
+    top = s[..., 0]
+    return np.divide(s[..., keep - 1], top, out=np.zeros_like(top), where=top > 0.0)
 
 
 def _name_singular_block(
@@ -250,32 +274,37 @@ class DesignMatrix:
 
 
 class _Twins(NamedTuple):
-    """A design pair factorized through the uncentered twin, rank-checked."""
+    """A stack of W design pairs factorized through the uncentered twins,
+    rank-checked; every array but B_centered has the stack as its leading
+    axis."""
 
-    B_centered: np.ndarray  # centered intercept-basis block
+    B_centered: np.ndarray  # centered intercept-basis block, shared
     Z_tilde: np.ndarray
     Q_tilde: np.ndarray
     rotation: np.ndarray | None  # left singular vectors of Q_tilde' Z
-    rcond: float
-    rcond_tilde: float
+    rcond: np.ndarray
+    rcond_tilde: np.ndarray
 
 
 def _factor_twins(f: np.ndarray, config: SplineConfig, rotate: bool) -> _Twins:
-    """Assemble the uncentered twin Z_tilde = [B, f_1 B, ..., f_p B], take
-    its thin SVD and check the rank of both twins.
+    """For each (T, p) factor block of the (W, T, p) stack f, assemble the
+    uncentered twin Z_tilde = [B, f_1 B, ..., f_p B], factorize it as
+    Q_tilde R_tilde by Householder QR and check the rank of both twins.
+    One batched QR and two batched K x K SVDs serve the whole stack.
 
     The clamped basis sums to one, so the centered twin Z, whose intercept
     block is B - 1 m' (m the column means of B), lies in the span of
     Z_tilde: Z = Q_tilde (Q_tilde' Z). The K x K matrix Q_tilde' Z therefore
     has the singular values of Z, and its left singular vectors rotate
-    Q_tilde onto Z's span. It is formed as S V' less (Q_tilde' 1) m' in the
-    intercept columns, without Z, and its singular vectors are computed
-    only when `rotate` is set (else `rotation` is None). Raises
-    ContractError when T < K + 1 and SingularDesignError, naming the first
-    failing block, when either twin is rank deficient (Z beyond its
-    built-in dependency).
+    Q_tilde onto Z's span. It is formed as R_tilde less (Q_tilde' 1) m' in
+    the intercept columns, without Z, and its singular vectors are
+    computed only when `rotate` is set (else `rotation` is None); R_tilde
+    has the singular values of Z_tilde. Raises ContractError when
+    T < K + 1 and SingularDesignError, naming the first failing block of
+    the first failing design in the stack, when either twin is rank
+    deficient (Z beyond its built-in dependency).
     """
-    T, p = f.shape
+    W, T, p = f.shape
     L = config.basis_dim
     K = (1 + p) * L
     if T < K + 1:
@@ -284,12 +313,13 @@ def _factor_twins(f: np.ndarray, config: SplineConfig, rotate: bool) -> _Twins:
         )
     B = _clamped_basis(T, config.interior_knots, config.order)
     mean = B.mean(axis=0)
-    B_centered = B - mean
-    factor_blocks = [f[:, [j]] * B for j in range(p)]
-    Z_tilde = np.hstack([B] + factor_blocks)
-    q_tilde, s_tilde, vt = np.linalg.svd(Z_tilde, full_matrices=False)
-    R = s_tilde[:, None] * vt
-    R[:, :L] -= np.outer(q_tilde.sum(axis=0), mean)
+    Z_tilde = np.empty((W, T, K))
+    Z_tilde[:, :, :L] = B
+    for j in range(p):
+        np.multiply(f[:, :, j, None], B, out=Z_tilde[:, :, (j + 1) * L : (j + 2) * L])
+    q_tilde, r_tilde = np.linalg.qr(Z_tilde)
+    R = r_tilde.copy()
+    R[:, :, :L] -= q_tilde.sum(axis=1)[:, :, None] * mean
     if rotate:
         rotation, s, _ = np.linalg.svd(R)
     else:
@@ -297,14 +327,18 @@ def _factor_twins(f: np.ndarray, config: SplineConfig, rotate: bool) -> _Twins:
     # Rank contract: Z carries exactly one built-in dependency (see
     # DesignMatrix), Z_tilde none. Anything worse is a genuine singularity.
     rcond = _effective_rcond(s, structural_nullity=1)
-    if rcond <= RCOND_MIN:
-        raise SingularDesignError(
-            "design matrix is rank deficient beyond the built-in dependency "
-            "of the centered intercept block (first failing prefix: "
-            f"{_name_singular_block([B_centered] + factor_blocks, p, first_block_nullity=1)})"
-        )
-    rcond_tilde = _effective_rcond(s_tilde)
-    if rcond_tilde <= RCOND_MIN:
+    rcond_tilde = _effective_rcond(np.linalg.svd(r_tilde, compute_uv=False))
+    B_centered = B - mean
+    failing = np.flatnonzero((rcond <= RCOND_MIN) | (rcond_tilde <= RCOND_MIN))
+    if failing.size:
+        w = failing[0]
+        factor_blocks = [Z_tilde[w, :, (j + 1) * L : (j + 2) * L] for j in range(p)]
+        if rcond[w] <= RCOND_MIN:
+            raise SingularDesignError(
+                "design matrix is rank deficient beyond the built-in dependency "
+                "of the centered intercept block (first failing prefix: "
+                f"{_name_singular_block([B_centered] + factor_blocks, p, first_block_nullity=1)})"
+            )
         raise SingularDesignError(
             "uncentered design matrix is rank deficient (first failing "
             f"prefix: {_name_singular_block([B] + factor_blocks, p)})"
@@ -324,24 +358,25 @@ def build_design(factors, config: SplineConfig) -> DesignMatrix:
     """
     f = _as_factor_matrix(factors)
     T, p = f.shape
-    twins = _factor_twins(f, config, rotate=True)
+    twins = _factor_twins(f[None], config, rotate=True)
     L = config.basis_dim
     K = (1 + p) * L
-    q = twins.Q_tilde @ twins.rotation[:, : K - 1]
+    q_tilde = twins.Q_tilde[0]
+    q = q_tilde @ twins.rotation[0][:, : K - 1]
     ones = np.ones(T)
     h = ones - q @ (q.T @ ones)
     omega = float(np.clip(h @ h, 0.0, float(T)))
     return DesignMatrix(
-        Z=np.hstack([twins.B_centered, twins.Z_tilde[:, L:]]),
-        Z_tilde=twins.Z_tilde,
+        Z=np.hstack([twins.B_centered, twins.Z_tilde[0, :, L:]]),
+        Z_tilde=twins.Z_tilde[0],
         omega_T=omega,
         h=h,
         config=config,
         n_factors=p,
         Q=q,
-        Q_tilde=twins.Q_tilde,
-        rcond=twins.rcond,
-        rcond_tilde=twins.rcond_tilde,
+        Q_tilde=q_tilde,
+        rcond=float(twins.rcond[0]),
+        rcond_tilde=float(twins.rcond_tilde[0]),
     )
 
 
@@ -407,7 +442,7 @@ def bic_penalty(N: int, T: int, n_factors: int, config: SplineConfig) -> float:
     return math.log(nt) / nt * (n_factors + 1) * config.basis_dim
 
 
-def bic_score(panel, factors, config: SplineConfig) -> float:
+def bic_score(panel, factors, config: SplineConfig):
     """Information criterion for one interior-knot count.
 
     The goodness-of-fit term is the log mean squared residual of the
@@ -419,20 +454,28 @@ def bic_score(panel, factors, config: SplineConfig) -> float:
     1e-3 ||Y||^2 it is taken from the residual Y - Q(Q'Y) instead. A
     candidate is unusable, with `build_design`'s error, exactly when its
     design pair is.
+
+    panel and factors may also be stacks (W, T, N) and (W, T, p) of panels
+    of one length, such as consecutive rolling windows. The stack is
+    scored in one batched factorization and the W scores come back as an
+    array, each equal to the panel's own score; the first panel whose
+    design is unusable raises its error for the whole stack.
     """
-    Y, f = _panel_and_factors(panel, factors)
+    Y, f = _panel_stack(panel, factors)
     q = _factor_twins(f, config, rotate=False).Q_tilde
-    yy = float(np.vdot(Y, Y))
-    fitted = q.T @ Y
-    rss = yy - float(np.vdot(fitted, fitted))
-    if rss < _RSS_FALLBACK * yy:
-        resid = _residual(Y, q)
-        rss = float(np.vdot(resid, resid))
-    T, N = Y.shape
-    if rss <= 0.0:
-        # exact interpolation: push the criterion to -inf so it wins
-        return -math.inf
-    return math.log(rss / (T * N)) + bic_penalty(N, T, f.shape[1], config)
+    fitted = np.swapaxes(q, 1, 2) @ Y
+    W, T, N = Y.shape
+    penalty = bic_penalty(N, T, f.shape[2], config)
+    scores = np.empty(W)
+    for w in range(W):
+        yy = float(np.vdot(Y[w], Y[w]))
+        rss = yy - float(np.vdot(fitted[w], fitted[w]))
+        if rss < _RSS_FALLBACK * yy:
+            resid = _residual(Y[w], q[w])
+            rss = float(np.vdot(resid, resid))
+        # exact interpolation pushes the criterion to -inf, so it wins
+        scores[w] = math.log(rss / (T * N)) + penalty if rss > 0.0 else -math.inf
+    return scores if np.ndim(panel) == 3 else float(scores[0])
 
 
 def _check_knots(knots) -> int | str:
@@ -449,18 +492,32 @@ def default_knot_candidates(T: int) -> range:
     return range(1, math.ceil(T ** 0.2) + 5)
 
 
-@one_blas_thread()
-def _score_knot_candidates(panel, factors, candidates, order: int):
-    """Score each distinct candidate knot count and pick the winner.
+# A knot candidate's own failures: too few observations or a singular design.
+_UNUSABLE = (SingularDesignError, ContractError)
 
-    Returns ({n: score, or None when the candidate is unusable}, best n),
-    keyed in ascending n. Candidates with too few observations or singular
-    designs are unusable; ties break toward the smaller knot count. Raises
-    ContractError if the candidate set is empty or holds a count that is
-    not a non-negative integer, the order is not an integer >= 1, or the
-    panel and factors disagree in rows or hold non-finite values, and
-    SingularDesignError if every candidate is unusable. OpenBLAS runs at
-    one thread for the call.
+
+def _score_or_error(panel, factors, config: SplineConfig):
+    """bic_score, or the error that makes the candidate unusable."""
+    try:
+        return bic_score(panel, factors, config)
+    except _UNUSABLE as exc:
+        return exc
+
+
+@one_blas_thread()
+def _score_knot_candidates(panel, factors, candidates, order: int) -> list[dict]:
+    """Score each distinct candidate knot count on a panel, or on every
+    panel of a (W, T, N) stack with its (W, T, p) factors.
+
+    Returns one {n: score, or the candidate's error when it is unusable}
+    dict per panel, keyed in ascending n (a single panel is a stack of
+    one). Each candidate is scored on the whole stack by one `bic_score`
+    call; a candidate unusable on some panel is rescored panel by panel.
+    Candidates with too few observations or singular designs are
+    unusable. Raises ContractError if the candidate set is empty or holds
+    a count that is not a non-negative integer, the order is not an
+    integer >= 1, or the panel and factors disagree in shape or hold
+    non-finite values. OpenBLAS runs at one thread for the call.
     """
     cand = sorted(set(candidates))
     if not cand:
@@ -469,21 +526,31 @@ def _score_knot_candidates(panel, factors, candidates, order: int):
     # the loop below only meets a candidate's own failures (too few
     # observations or a singular design).
     configs = [SplineConfig(n, order) for n in cand]
-    Y, f = _panel_and_factors(panel, factors)
-    scores, failures = {}, []
+    Y, f = _panel_stack(panel, factors)
+    scores = [{} for _ in range(Y.shape[0])]
     for config in configs:
-        n = config.interior_knots
         try:
-            scores[n] = bic_score(Y, f, config)
-        except (SingularDesignError, ContractError) as exc:
-            scores[n] = None
-            failures.append(f"n={n}: {exc}")
-    usable = {n: s for n, s in scores.items() if s is not None}
+            stacked = bic_score(Y, f, config).tolist()
+        except _UNUSABLE as exc:
+            stacked = [exc] if len(scores) == 1 else [
+                _score_or_error(Y[w], f[w], config) for w in range(len(scores))
+            ]
+        for row, score in zip(scores, stacked):
+            row[config.interior_knots] = score
+    return scores
+
+
+def _best_knots(scores: dict) -> int:
+    """The knot count of least score in one panel's `_score_knot_candidates`
+    dict, ties to the smaller count. Raises SingularDesignError, listing
+    each candidate's error, when no candidate is usable."""
+    usable = {n: s for n, s in scores.items() if not isinstance(s, Exception)}
     if not usable:
         raise SingularDesignError(
-            "no knot candidate produced a usable design: " + "; ".join(failures)
+            "no knot candidate produced a usable design: "
+            + "; ".join(f"n={n}: {exc}" for n, exc in scores.items())
         )
-    return scores, min(usable, key=usable.__getitem__)
+    return min(usable, key=usable.__getitem__)
 
 
 def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
@@ -496,4 +563,4 @@ def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
     """
     if candidates is None:
         candidates = default_knot_candidates(np.asarray(panel).shape[0])
-    return _score_knot_candidates(panel, factors, candidates, order)[1]
+    return _best_knots(_score_knot_candidates(panel, factors, candidates, order)[0])

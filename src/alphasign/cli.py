@@ -345,9 +345,10 @@ def _cmd_knots(args) -> int:
         candidates = _parse_candidates(args.candidates)
     else:
         candidates = basis.default_knot_candidates(panel.values.shape[0])
-    scores, best = basis._score_knot_candidates(
+    scores = basis._score_knot_candidates(
         panel.values, factors.values, candidates, args.order
-    )
+    )[0]
+    best = basis._best_knots(scores)
     prov = panels.provenance_line(
         {
             "command": "knots",
@@ -358,7 +359,12 @@ def _cmd_knots(args) -> int:
         }
     )
     rows = [
-        [n, n + args.order, "" if score is None else panels.format_float(score), int(n == best)]
+        [
+            n,
+            n + args.order,
+            "" if isinstance(score, Exception) else panels.format_float(score),
+            int(n == best),
+        ]
         for n, score in scores.items()
     ]
     panels.write_table(args.out, ["n", "basis_dim", "bic", "selected"], rows, [prov])

@@ -15,11 +15,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import _check_knots, _is_count, _panel_and_factors, select_knots_bic
+from .basis import (
+    _best_knots,
+    _check_knots,
+    _is_count,
+    _panel_and_factors,
+    _score_knot_candidates,
+    default_knot_candidates,
+    select_knots_bic,
+)
 from .blas import one_blas_thread
 from .dgp import AlphaSpec, ErrorScenario, simulate_panel
-from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError
+from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError, SingularDesignError
 from .stat_tests import TEST_NAMES, TestResult, run_all_tests
 
 # A run with more than this share of failed replications is flagged invalid.
@@ -210,18 +219,49 @@ class RollingResult:
 # that a slow block does not leave the other workers idle at the end.
 _BLOCKS_PER_WORKER = 4
 
+# Consecutive windows whose knot searches run as one stack, each candidate
+# factorized once per chunk. Longer chunks save a little more per window
+# but hold more stacked twins at once, which shows in the peak memory.
+_KNOT_CHUNK = 4
+
+
+def _chunk_knots(Ys, Fs, order: int) -> list:
+    """Each window's knot count from one stacked search over the windows
+    Ys, Fs, or "auto" for a window the search cannot serve: run alone, it
+    then raises its own error under its own stage."""
+    try:
+        rows = _score_knot_candidates(Ys, Fs, default_knot_candidates(Ys.shape[1]), order)
+    except (AlphaSignError, np.linalg.LinAlgError):
+        return ["auto"] * Ys.shape[0]
+    chosen = []
+    for scores in rows:
+        try:
+            chosen.append(_best_knots(scores))
+        except SingularDesignError:
+            chosen.append("auto")
+    return chosen
+
 
 def _window_block_pvalues(args) -> np.ndarray:
     """P-values of the consecutive windows whose rows Y, F hold, one row per
     window and one column per test. first is the 1-based number of the
-    block's first window; an error names the window and its panel rows."""
+    block's first window; an error names the window and its panel rows.
+    With knots "auto", the knots are selected in stacked chunks of
+    _KNOT_CHUNK windows before the windows' batteries run."""
     Y, F, first, window, tests, knots, order = args
-    out = np.empty((Y.shape[0] - window + 1, len(tests)))
-    for k in range(out.shape[0]):
+    Ys = sliding_window_view(Y, window, axis=0).transpose(0, 2, 1)
+    Fs = sliding_window_view(F, window, axis=0).transpose(0, 2, 1)
+    n_windows = Ys.shape[0]
+    if knots == "auto":
+        chosen = []
+        for c in range(0, n_windows, _KNOT_CHUNK):
+            chosen += _chunk_knots(Ys[c : c + _KNOT_CHUNK], Fs[c : c + _KNOT_CHUNK], order)
+    else:
+        chosen = [knots] * n_windows
+    out = np.empty((n_windows, len(tests)))
+    for k in range(n_windows):
         try:
-            results = run_all_tests(
-                Y[k : k + window], F[k : k + window], knots=knots, order=order
-            )
+            results = run_all_tests(Ys[k], Fs[k], knots=chosen[k], order=order)
         except (AlphaSignError, np.linalg.LinAlgError) as exc:
             w = first + k
             raise type(exc)(f"window {w} (rows {w}-{w + window - 1}): {exc}") from exc
@@ -250,11 +290,17 @@ def rolling_windows(
     the processes of _map_in_order: this one takes the first share, and
     a pool worker receives each of its blocks as one slice of rows.
     workers defaults to the core count. Every battery runs at one BLAS
-    thread, so the p-values do not depend on the worker count. A window's
-    error is re-raised with its window number and rows prefixed.
+    thread, so the p-values do not depend on the worker count. With
+    knots "auto", each block selects its windows' knots in stacked chunks
+    of consecutive windows (`basis._score_knot_candidates`), which pick
+    what `select_knots_bic` picks on each window alone. window must be an
+    integer in [2, T]. A window's error is re-raised with its window
+    number and rows prefixed.
     """
     Y, F = _panel_and_factors(panel, factors)
     T = Y.shape[0]
+    if not _is_count(window):
+        raise ContractError(f"window must be an integer, got {window!r}")
     if not 2 <= window <= T:
         raise ContractError(f"window must lie in [2, T={T}], got {window}")
     unknown = set(tests) - set(TEST_NAMES)

@@ -27,10 +27,13 @@ norms r at the returned location and scale are kept on the estimate, and
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _is_count
 from .errors import ContractError, DegenerateScaleError, DegenerateStatisticError
 
 SCALE_FLOOR = 1e-12
@@ -105,10 +108,11 @@ def spatial_median_scale(
     tol : float
         Convergence threshold on the estimating-equation residuals: the
         Euclidean norm of the mean sign vector, and N times the largest
-        deviation of the mean squared sign coordinates from 1/N.
+        deviation of the mean squared sign coordinates from 1/N. Must be
+        finite and > 0.
     max_iter : int
-        Update rounds before giving up; the best iterate is still returned
-        with converged=False.
+        Update rounds before giving up, an integer >= 0; the best iterate
+        is still returned with converged=False.
 
     Rows that coincide exactly with the current location have undefined
     direction and drop out of both estimating equations; the means are
@@ -121,6 +125,12 @@ def spatial_median_scale(
     Each round is five matrix-vector products on the centered residuals
     and their squares, formed once per call (see the module docstring).
     """
+    if isinstance(tol, bool) or not (
+        isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0
+    ):
+        raise ContractError(f"tol must be a finite number > 0, got {tol!r}")
+    if not (_is_count(max_iter) and max_iter >= 0):
+        raise ContractError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     E = np.asarray(residuals, dtype=float)
     if E.ndim != 2:
         raise ContractError(f"residuals must be T x N, got ndim={E.ndim}")

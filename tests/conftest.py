@@ -33,3 +33,17 @@ def small_design(small_sim):
 @pytest.fixture(scope="session")
 def small_fit(small_sim, small_design):
     return fit_panel(small_sim.panel, small_design)
+
+
+@pytest.fixture(scope="session")
+def zero_tail_panel():
+    """A 70-row panel (N=3, one factor) whose factor is zero on rows 46-70
+    (1-based). Its 40-row windows hold fewer and fewer non-zero factor
+    rows, so fewer knot candidates are usable: all 7 in windows 1-10, only
+    n = 1 in windows 20-25 and none from window 26 on. The batteries of
+    windows 1-24 run; in window 25 the n = 1 design is usable but has
+    leverage 1 at its last non-zero factor row, which CSS refuses."""
+    sim = simulate_panel(1, ErrorScenario("normal"), AlphaSpec(), 3, 70, np.random.default_rng(5))
+    F = sim.factors.copy()
+    F[45:] = 0.0
+    return sim.panel, F

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
-from alphasign.errors import ContractError, DegenerateScaleError
+from alphasign.errors import ContractError, DegenerateScaleError, SingularDesignError
 from alphasign.harness import (
     MAX_FAILURE_SHARE,
     ExperimentConfig,
@@ -276,6 +276,21 @@ def test_rolling_window_guards():
         rolling_windows(broken, sim.factors, window=10, knots=1)
 
 
+@pytest.mark.parametrize("window", [20.0, True, "20", np.float64(20.0)])
+def test_rolling_window_must_be_an_integer(window, monkeypatch):
+    import alphasign.harness as harness
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window ran")
+
+    monkeypatch.setattr(harness, "run_all_tests", no_window)
+    sim = simulate_panel(
+        1, ErrorScenario("normal"), AlphaSpec(), 6, 30, np.random.default_rng(31)
+    )
+    with pytest.raises(ContractError, match="^window must be an integer, got"):
+        rolling_windows(sim.panel, sim.factors, window=window, knots=1, workers=1)
+
+
 def test_rolling_windows_with_periodic_panel_repeat():
     # a panel that repeats with period k gives identical windows w and w + k
     rng = np.random.default_rng(13)
@@ -345,3 +360,29 @@ def test_rolling_pool_matches_serial_and_direct_batteries_bit_for_bit():
     for w in range(21):
         direct = run_all_tests(sim.panel[w : w + 70], sim.factors[w : w + 70])
         assert list(pooled.p_values[w]) == [r.p_value for r in direct]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stacked_knot_search_serves_windows_with_different_usable_candidates(
+    zero_tail_panel, workers
+):
+    # windows 1-24 keep 7 down to 1 usable candidates (see the fixture), so
+    # most chunks of the stacked search are rescored window by window
+    Y, F = zero_tail_panel
+    rolled = rolling_windows(Y[:63], F[:63], window=40, workers=workers)
+    for w in range(24):
+        direct = run_all_tests(Y[w : w + 40], F[w : w + 40], knots="auto")
+        assert list(rolled.p_values[w]) == [r.p_value for r in direct]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_window_with_no_usable_knot_candidate_is_named(zero_tail_panel, workers):
+    # from window 26 on no candidate is usable: run alone, the window raises
+    # the direct battery's error, under its stage and named
+    Y, F = zero_tail_panel
+    with pytest.raises(SingularDesignError) as info:
+        run_all_tests(Y[25:65], F[25:65], knots="auto")
+    assert str(info.value).startswith("knot-selection: no knot candidate produced a usable design")
+    with pytest.raises(SingularDesignError) as named:
+        rolling_windows(Y[25:], F[25:], window=40, workers=workers)
+    assert str(named.value) == f"window 1 (rows 1-40): {info.value}"

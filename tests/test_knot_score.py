@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from alphasign.basis import (
     SplineConfig,
+    _best_knots,
+    _score_knot_candidates,
     bic_penalty,
     bic_score,
     build_design,
@@ -17,7 +20,7 @@ from alphasign.basis import (
     select_knots_bic,
 )
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
-from alphasign.errors import SingularDesignError
+from alphasign.errors import ContractError, SingularDesignError
 
 
 def _reference_bic_score(panel, factors, config):
@@ -87,3 +90,69 @@ def test_unusable_candidates_keep_the_design_messages():
         with pytest.raises(SingularDesignError, match="no knot candidate") as info:
             select_knots_bic(Y, factors, candidates=[2])
         assert message in str(info.value)
+
+
+def _windows(Y, F, window):
+    """The (W, window, N) and (W, window, p) stacks of every window, as views."""
+    return tuple(
+        sliding_window_view(a, window, axis=0).transpose(0, 2, 1) for a in (Y, F)
+    )
+
+
+def test_bic_score_on_a_stack_equals_each_window_bit_for_bit():
+    sim = simulate_panel(
+        2, ErrorScenario("t"), AlphaSpec(), 30, 130, np.random.default_rng(9)
+    )
+    Ys, Fs = _windows(sim.panel, sim.factors, 120)
+    for n in (1, 4, 7):
+        config = SplineConfig(n, 3)
+        stacked = bic_score(Ys, Fs, config)
+        alone = [bic_score(sim.panel[w : w + 120], sim.factors[w : w + 120], config)
+                 for w in range(11)]
+        assert stacked.shape == (11,)
+        assert np.array_equal(stacked, alone), n
+        assert np.array_equal(bic_score(Ys[3:7], Fs[3:7], config), stacked[3:7])
+    assert isinstance(bic_score(sim.panel, sim.factors, SplineConfig(2, 3)), float)
+
+
+def test_bic_score_on_a_stack_raises_the_first_unusable_windows_error(zero_tail_panel):
+    Y, F = zero_tail_panel
+    Ys, Fs = _windows(Y, F, 40)
+    config = SplineConfig(3, 3)  # usable up to window 15 of 31
+    assert np.all(np.isfinite(bic_score(Ys[:15], Fs[:15], config)))
+    with pytest.raises(SingularDesignError) as alone:
+        bic_score(Y[15:55], F[15:55], config)
+    with pytest.raises(SingularDesignError) as stacked:
+        bic_score(Ys[10:18], Fs[10:18], config)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ContractError, match="needs factors of shape"):
+        bic_score(Ys, F, config)
+
+
+def test_stacked_search_picks_each_windows_own_knots(zero_tail_panel):
+    # the factor's zero tail makes the usable candidates differ from window
+    # to window, down to none, so the stack is rescored window by window
+    Y, F = zero_tail_panel
+    Ys, Fs = _windows(Y, F, 40)
+    candidates = default_knot_candidates(40)
+    stacked = _score_knot_candidates(Ys, Fs, candidates, 3)
+    assert len(stacked) == Ys.shape[0]
+    usable_sets = set()
+    for w, scores in enumerate(stacked):
+        alone = _score_knot_candidates(Y[w : w + 40], F[w : w + 40], candidates, 3)
+        assert len(alone) == 1 and list(scores) == list(alone[0]) == list(candidates)
+        for n, own in alone[0].items():
+            if isinstance(own, Exception):
+                assert type(scores[n]) is type(own) and str(scores[n]) == str(own)
+            else:
+                assert scores[n] == own
+        usable_sets.add(tuple(n for n, s in scores.items() if not isinstance(s, Exception)))
+        try:
+            expected = select_knots_bic(Y[w : w + 40], F[w : w + 40])
+        except SingularDesignError as exc:
+            with pytest.raises(SingularDesignError) as info:
+                _best_knots(scores)
+            assert str(info.value) == str(exc)
+        else:
+            assert _best_knots(scores) == expected
+    assert {(1, 2, 3, 4, 5, 6, 7), (1,), ()} <= usable_sets and len(usable_sets) >= 5

@@ -360,6 +360,12 @@ def test_cli_caller_errors_are_not_numerical_failures(cli_files, capsys):
     assert "data error: knot-selection: spline order must be >= 1" in capsys.readouterr().err
     assert main(["knots", panel, factors, "--order", "0"]) == 2
     assert "data error: spline order must be >= 1" in capsys.readouterr().err
+    # the stacked knot search of a rolling run leaves the error to the window
+    assert main(["rolling", panel, factors, "--window", "75", "--order", "0", "--workers", "1"]) == 2
+    assert (
+        "data error: window 1 (rows 1-75): knot-selection: spline order must be >= 1"
+        in capsys.readouterr().err
+    )
     for argv, message in (
         (["--N", "2"], "MNT: max-type calibration needs N >= 3"),
         (["--order", "0"], "design: spline order must be >= 1"),

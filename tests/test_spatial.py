@@ -186,6 +186,20 @@ def test_degenerate_inputs_raise():
         spatial_median_scale(bad)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": -1e-8}, {"tol": "1e-8"},
+     {"max_iter": -1}, {"max_iter": 1.5}, {"max_iter": True}],
+)
+def test_iteration_controls_must_be_usable(kwargs):
+    # a nan tolerance would run every round and hand back an estimate
+    # marked unconverged as if it were an answer
+    E = np.random.default_rng(5).standard_normal((40, 3))
+    with pytest.raises(ContractError, match="must be"):
+        spatial_median_scale(E, **kwargs)
+    assert spatial_median_scale(E, tol=1, max_iter=np.int64(0)).iterations == 0
+
+
 def _unit_location(E):
     """Location 0 and unit scale, with the row norms that implies."""
     N = E.shape[1]

@@ -46,6 +46,12 @@ def test_make_knots_layout():
         make_knots(-1)
     with pytest.raises(ContractError):
         make_knots(2, order=0)
+    # counts are integers, as in SplineConfig: 1.5 knots are not two knots
+    # at 0.4 and 0.8, and True is not 1
+    for knots, order in ((1.5, 3), (True, 3), (2, 3.0), (2, True)):
+        with pytest.raises(ContractError, match="must be an integer, got"):
+            make_knots(knots, order)
+    assert np.array_equal(make_knots(np.int64(1), np.int32(2)), [0, 0, 0.5, 1, 1])
 
 
 def test_order_one_basis_is_interval_indicator():

@@ -421,6 +421,10 @@ def test_run_all_tests_auto_knots_and_stage_errors(small_sim):
         run_all_tests(np.zeros_like(small_sim.panel), small_sim.factors, knots=2)
     with pytest.raises(ContractError):
         run_all_tests(small_sim.panel[:100], small_sim.factors, knots=2)
+    # a nan tolerance is refused under its stage, not run for every round
+    # into an estimate marked unconverged
+    with pytest.raises(ContractError, match="^spatial-median: tol must be a finite number > 0"):
+        run_all_tests(small_sim.panel, small_sim.factors, knots=2, tol=np.nan)
 
 
 # P-values and projection bias pinned before the fit and the bias were
