@@ -151,14 +151,18 @@ def _as_factor_matrix(factors) -> np.ndarray:
     return f
 
 
+def _check_finite_panel(Y: np.ndarray) -> None:
+    if not np.all(np.isfinite(Y)):
+        raise ContractError("panel contains non-finite values")
+
+
 def _as_panel(panel) -> np.ndarray:
     Y = np.asarray(panel, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
     if Y.ndim != 2:
         raise ContractError(f"panel must be a T x N matrix, got ndim={Y.ndim}")
-    if not np.all(np.isfinite(Y)):
-        raise ContractError("panel contains non-finite values")
+    _check_finite_panel(Y)
     return Y
 
 
@@ -173,8 +177,10 @@ def _panel_and_factors(panel, factors) -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_stack(panel, factors) -> tuple[np.ndarray, np.ndarray]:
     """A (W, T, N) stack of panels and its (W, T, p) stack of factors. A
-    T x N panel with its factors is a stack of one; a stack is taken as
-    is (a view stays a view), with the checks of a single panel."""
+    T x N panel with its factors is a stack of one, with every check of
+    `_panel_and_factors`; a stack is taken as is (a view stays a view),
+    with the same checks except the scan of the panel's values for
+    non-finite ones, which the caller makes (`_check_finite_panel`)."""
     if np.ndim(panel) != 3:
         Y, f = _panel_and_factors(panel, factors)
         return Y[None], f[None]
@@ -184,8 +190,6 @@ def _panel_stack(panel, factors) -> tuple[np.ndarray, np.ndarray]:
             f"a panel stack of shape {Y.shape} needs factors of shape "
             f"{Y.shape[:2]} + (p,), got {f.shape}"
         )
-    if not np.all(np.isfinite(Y)):
-        raise ContractError("panel contains non-finite values")
     if not np.all(np.isfinite(f)):
         raise ContractError("factors contain non-finite values")
     return Y, f
@@ -462,13 +466,17 @@ def bic_score(panel, factors, config: SplineConfig):
     design is unusable raises its error for the whole stack.
     """
     Y, f = _panel_stack(panel, factors)
+    W, T, N = Y.shape
+    norms = [float(np.vdot(Y[w], Y[w])) for w in range(W)]
+    # A non-finite value makes its panel's squared norm non-finite, and so
+    # does overflow in a finite panel, which is then scored all the same.
+    if not all(map(math.isfinite, norms)):
+        _check_finite_panel(Y)
     q = _factor_twins(f, config, rotate=False).Q_tilde
     fitted = np.swapaxes(q, 1, 2) @ Y
-    W, T, N = Y.shape
     penalty = bic_penalty(N, T, f.shape[2], config)
     scores = np.empty(W)
-    for w in range(W):
-        yy = float(np.vdot(Y[w], Y[w]))
+    for w, yy in enumerate(norms):
         rss = yy - float(np.vdot(fitted[w], fitted[w]))
         if rss < _RSS_FALLBACK * yy:
             resid = _residual(Y[w], q[w])
@@ -527,6 +535,8 @@ def _score_knot_candidates(panel, factors, candidates, order: int) -> list[dict]
     # observations or a singular design).
     configs = [SplineConfig(n, order) for n in cand]
     Y, f = _panel_stack(panel, factors)
+    if np.ndim(panel) == 3:
+        _check_finite_panel(Y)
     scores = [{} for _ in range(Y.shape[0])]
     for config in configs:
         try:

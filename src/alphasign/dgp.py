@@ -152,14 +152,16 @@ def ar_garch_path(spec: FactorSpec, T: int, rng, burn_in: int = BURN_IN) -> np.n
     total = burn_in + T
     out = np.empty(total)
     f_prev, h_prev = 0.0, 1.0
-    phi_prev = float(rng.standard_normal())
+    # One draw gives the stream that one scalar draw per step gave, as floats.
+    draws = rng.standard_normal(total + 1).tolist()
+    phi_prev = draws[0]
     for t in range(total):
         h = (
             spec.garch_omega
             + spec.garch_beta * h_prev
             + spec.garch_alpha * h_prev * phi_prev**2
         )
-        phi = float(rng.standard_normal())
+        phi = draws[t + 1]
         f = spec.mean + spec.ar_coef * (f_prev - spec.mean) + math.sqrt(h) * phi
         out[t] = f
         f_prev, h_prev, phi_prev = f, h, phi
@@ -175,9 +177,9 @@ def latent_state_path(T: int, rng, burn_in: int = BURN_IN) -> np.ndarray:
     total = burn_in + T
     z = np.empty(total)
     z_prev, s2_prev = 0.0, 1.0
-    for t in range(total):
+    for t, eps in enumerate(rng.standard_normal(total).tolist()):
         s2 = 0.1 + 0.3 * s2_prev
-        z_t = 0.5 * z_prev + math.sqrt(s2) * float(rng.standard_normal())
+        z_t = 0.5 * z_prev + math.sqrt(s2) * eps
         z[t] = z_t
         z_prev, s2_prev = z_t, s2
     return z[burn_in:]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from alphasign import harness
 from alphasign.basis import SplineConfig, build_design, fit_panel
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.stat_tests import TestResult
@@ -16,6 +17,15 @@ TestResult.__test__ = False
 # byte-for-byte comparable.
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """Shut down the harness's kept process pool after each test. Its
+    workers are forked once, so without this a stand-in pool or a
+    monkeypatched function from one test would reach later tests."""
+    yield
+    harness._close_pool()
 
 
 @pytest.fixture(scope="session")

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from alphasign.dgp import (
+    BURN_IN,
+    ERROR_SCENARIO_KINDS,
     EXAMPLE2_LOADING_PARAMS,
     EXAMPLE3_LOADING_PARAMS,
     EXAMPLE_FACTORS,
     MARKET,
     AlphaSpec,
     ErrorScenario,
+    HML,
+    SMB,
     FactorSpec,
     ar_garch_path,
     assemble_panel,
@@ -241,3 +245,64 @@ def test_simulate_panel_matches_full_loadings_reference(example):
     assert np.array_equal(sim.factors, F)
     assert np.array_equal(sim.alpha, alpha)
     assert np.array_equal(sim.support, support)
+
+
+def _scalar_ar_garch_path(spec, T, rng, burn_in=BURN_IN):
+    """ar_garch_path drawn one scalar normal per step: the reference for
+    the one-draw path."""
+    total = burn_in + T
+    out = np.empty(total)
+    f_prev, h_prev = 0.0, 1.0
+    phi_prev = float(rng.standard_normal())
+    for t in range(total):
+        h = (
+            spec.garch_omega
+            + spec.garch_beta * h_prev
+            + spec.garch_alpha * h_prev * phi_prev**2
+        )
+        phi = float(rng.standard_normal())
+        f = spec.mean + spec.ar_coef * (f_prev - spec.mean) + math.sqrt(h) * phi
+        out[t] = f
+        f_prev, h_prev, phi_prev = f, h, phi
+    return out[burn_in:]
+
+
+def _scalar_latent_state_path(T, rng, burn_in=BURN_IN):
+    """latent_state_path drawn one scalar normal per step (the reference)."""
+    total = burn_in + T
+    z = np.empty(total)
+    z_prev, s2_prev = 0.0, 1.0
+    for t in range(total):
+        s2 = 0.1 + 0.3 * s2_prev
+        z_t = 0.5 * z_prev + math.sqrt(s2) * float(rng.standard_normal())
+        z[t] = z_t
+        z_prev, s2_prev = z_t, s2
+    return z[burn_in:]
+
+
+@pytest.mark.parametrize("burn_in", [0, BURN_IN])
+def test_one_draw_paths_equal_the_scalar_draw_loops(burn_in):
+    # equal paths, and the generator is left where the loop left it
+    for spec in (MARKET, SMB, HML):
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        assert np.array_equal(ar_garch_path(spec, 130, a, burn_in),
+                              _scalar_ar_garch_path(spec, 130, b, burn_in))
+        assert a.standard_normal() == b.standard_normal()
+    a, b = np.random.default_rng(22), np.random.default_rng(22)
+    assert np.array_equal(latent_state_path(130, a, burn_in),
+                          _scalar_latent_state_path(130, b, burn_in))
+    assert a.standard_normal() == b.standard_normal()
+
+
+@pytest.mark.parametrize("kind", ERROR_SCENARIO_KINDS)
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_simulated_panels_equal_the_scalar_draw_loops(example, kind, monkeypatch):
+    import alphasign.dgp as dgp
+
+    spec = AlphaSpec(sparsity=3, strength=2.0)
+    new = simulate_panel(example, ErrorScenario(kind), spec, 10, 70, np.random.default_rng(8))
+    monkeypatch.setattr(dgp, "ar_garch_path", _scalar_ar_garch_path)
+    monkeypatch.setattr(dgp, "latent_state_path", _scalar_latent_state_path)
+    old = simulate_panel(example, ErrorScenario(kind), spec, 10, 70, np.random.default_rng(8))
+    for name in ("panel", "factors", "alpha", "support"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name

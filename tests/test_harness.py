@@ -1,6 +1,14 @@
 """Replication harness: seeding, the cell driver, aggregation, rolling windows."""
 
+import os
 import re
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,20 +220,159 @@ def test_the_caller_runs_the_first_share_of_the_jobs(monkeypatch):
         def __init__(self, max_workers):
             self.max_workers = max_workers
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, jobs, chunksize):
             pooled.append((self.max_workers, list(jobs)))
             return map(fn, jobs)
+
+        def shutdown(self):
+            pass
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     assert harness._map_in_order(abs, list(range(-7, 0)), 3) == list(range(7, 0, -1))
     # 7 jobs at 3 workers: this process takes 7 // 3 = 2, a pool of 2 the rest
     assert pooled == [(2, list(range(-5, 0)))]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The harness's executors: `made` lists each one it constructs and
+    `shut` each one it shuts down, in order."""
+    import alphasign.harness as harness
+
+    made, shut = [], []
+
+    class Recorded(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.size = max_workers
+            made.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            shut.append(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorded)
+    return SimpleNamespace(made=made, shut=shut)
+
+
+def _small_rolling_panel():
+    """A 40-row panel whose 25-row windows (16 of them) all run."""
+    sim = simulate_panel(
+        1, ErrorScenario("normal"), AlphaSpec(), 6, 40, np.random.default_rng(17)
+    )
+    return sim.panel, sim.factors
+
+
+def test_later_pooled_calls_of_one_size_reuse_the_pool(pools):
+    Y, F = _small_rolling_panel()
+    serial = rolling_windows(Y, F, window=25, knots=1, workers=1)
+    first = rolling_windows(Y, F, window=25, knots=1, workers=2)
+    second = rolling_windows(Y, F, window=25, knots=1, workers=2)
+    assert len(pools.made) == 1 and pools.shut == []
+    assert np.array_equal(first.p_values, serial.p_values)
+    assert np.array_equal(second.p_values, serial.p_values)
+    # a cell at the same worker count runs on the same pool
+    run_experiment(_tiny_config(reps=4), workers=2)
+    assert len(pools.made) == 1
+
+
+def test_a_pool_of_another_size_replaces_the_kept_one(pools):
+    Y, F = _small_rolling_panel()
+    serial = rolling_windows(Y, F, window=25, knots=1, workers=1)
+    rolling_windows(Y, F, window=25, knots=1, workers=2)
+    three = rolling_windows(Y, F, window=25, knots=1, workers=3)
+    assert [p.size for p in pools.made] == [1, 2]
+    assert pools.shut == [pools.made[0]]
+    assert np.array_equal(three.p_values, serial.p_values)
+
+
+def _exit_code(pid: int, timeout: float = 60.0) -> int:
+    """The exit code of child pid, killing it if it runs past timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    raise AssertionError(f"child {pid} did not exit within {timeout} s")
+
+
+def test_a_forked_child_never_submits_to_the_parents_pool(pools):
+    import alphasign.harness as harness
+
+    assert harness._map_in_order(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+    (kept,) = pools.made
+    pid = os.fork()
+    if pid == 0:  # the child leaves through os._exit, whatever happens
+        code = 1
+        try:
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("the child used its parent's pool")
+
+            kept.map = kept.submit = kept.shutdown = refuse
+            assert harness._pool is None and harness._inherited_pools[-1][1] is kept
+            assert harness._map_in_order(abs, [-5, -6, -7, -8], 2) == [5, 6, 7, 8]
+            assert harness._pool[1] is not kept
+            harness._close_pool()
+            code = 0
+        finally:
+            os._exit(code)
+    assert _exit_code(pid) == 0
+    # the parent's pool is still kept and still serves
+    assert harness._map_in_order(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+    assert pools.made == [kept] and pools.shut == []
+
+
+def test_a_killed_worker_is_replaced_by_a_fresh_pool(pools):
+    import alphasign.harness as harness
+
+    Y, F = _small_rolling_panel()
+    serial = rolling_windows(Y, F, window=25, knots=1, workers=1)
+    rolling_windows(Y, F, window=25, knots=1, workers=2)
+    (broken,) = pools.made
+    os.kill(broken.submit(os.getpid).result(timeout=60), signal.SIGKILL)
+    # the call that meets the broken pool raises and drops it
+    with pytest.raises(BrokenProcessPool):
+        rolling_windows(Y, F, window=25, knots=1, workers=2)
+    assert harness._pool is None and pools.shut == [broken]
+    fresh = rolling_windows(Y, F, window=25, knots=1, workers=2)
+    assert len(pools.made) == 2 and pools.made[1] is not broken
+    assert np.array_equal(fresh.p_values, serial.p_values)
+
+
+def test_threads_that_share_and_replace_the_kept_pool_get_their_own_results():
+    # more threads than cores, asking for pools of two sizes in turn, so
+    # that the kept pool is replaced while other threads' jobs are on it
+    import alphasign.harness as harness
+
+    results, errors = {}, []
+
+    def worker(k):
+        try:
+            for r in range(6):
+                jobs = list(range(-8 * (k + 1), -8 * k))
+                results[k, r] = harness._map_in_order(abs, jobs, 2 + (k + r) % 2)
+        except Exception as exc:  # reported below, with the thread's number
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for (k, _), got in results.items():
+        assert got == [abs(j) for j in range(-8 * (k + 1), -8 * k)]
+    assert len(results) == 24
 
 
 def test_pool_matches_serial_bit_for_bit():

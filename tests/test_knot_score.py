@@ -129,6 +129,39 @@ def test_bic_score_on_a_stack_raises_the_first_unusable_windows_error(zero_tail_
         bic_score(Ys, F, config)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_value_in_one_window_of_a_stack_is_refused(bad):
+    # the value sits in the last row, so only the last window holds it; the
+    # stack is refused before any design, whether usable (n = 1) or one
+    # with more columns than rows (n = 20)
+    sim = simulate_panel(
+        1, ErrorScenario("normal"), AlphaSpec(), 8, 60, np.random.default_rng(4)
+    )
+    Y = sim.panel.copy()
+    Y[-1, 1] = bad
+    Ys, Fs = _windows(Y, sim.factors, 50)
+    for n in (1, 20):
+        with pytest.raises(ContractError, match="^panel contains non-finite values$"):
+            bic_score(Ys, Fs, SplineConfig(n, 3))
+    with pytest.raises(ContractError, match="^panel contains non-finite values$"):
+        _score_knot_candidates(Ys, Fs, default_knot_candidates(50), 3)
+    assert np.all(np.isfinite(bic_score(Ys[:-1], Fs[:-1], SplineConfig(1, 3))))
+
+
+def test_a_finite_stack_whose_squared_norm_overflows_is_scored():
+    sim = simulate_panel(
+        1, ErrorScenario("normal"), AlphaSpec(), 8, 60, np.random.default_rng(4)
+    )
+    Y = sim.panel.copy()
+    Y[-1] = 1e200  # finite, but its square overflows
+    Ys, Fs = _windows(Y, sim.factors, 50)
+    config = SplineConfig(2, 3)
+    stacked = bic_score(Ys, Fs, config)
+    alone = [bic_score(Y[w : w + 50], sim.factors[w : w + 50], config) for w in range(11)]
+    assert np.array_equal(stacked, alone, equal_nan=True)
+    assert np.all(np.isfinite(stacked[:-1]))
+
+
 def test_stacked_search_picks_each_windows_own_knots(zero_tail_panel):
     # the factor's zero tail makes the usable candidates differ from window
     # to window, down to none, so the stack is rescored window by window

@@ -434,6 +434,24 @@ def test_cli_simulate_power(cli_files):
     assert strengths == {"3", "6"}
 
 
+def test_cli_simulate_power_runs_its_grid_on_one_pool(cli_files, monkeypatch):
+    from alphasign import harness
+
+    made, real = [], harness.ProcessPoolExecutor
+
+    def counting(max_workers):
+        made.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting)
+    out = str(cli_files["root"] / "power-pool.csv")
+    argv = ["simulate-power", "--N", "10", "--T", "70", "--reps", "4", "--knots", "1",
+            "--strength-grid", "0,2,4", "--workers", "2", "--out", out]
+    assert main(argv) == 0
+    assert made == [1]  # three grid points, one pool of one worker beside this process
+    assert len(_read_result_rows(out)) == 1 + 3 * len(TEST_NAMES)
+
+
 def test_cli_rolling(cli_files, capsys):
     out = str(cli_files["root"] / "rolling.csv")
     code = main(
