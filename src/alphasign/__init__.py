@@ -19,7 +19,6 @@ from .basis import (
     SplineConfig,
     bic_penalty,
     bic_score,
-    bspline_basis,
     build_design,
     default_knot_candidates,
     fit_panel,
@@ -69,7 +68,6 @@ from .spatial import (
     SpatialLocation,
     moment_estimates,
     spatial_median_scale,
-    spatial_sign,
 )
 from .stat_tests import (
     TEST_NAMES,

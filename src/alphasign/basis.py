@@ -133,13 +133,6 @@ def _clamped_basis(T: int, interior_knots: int, order: int) -> np.ndarray:
     return B
 
 
-def bspline_basis(config: SplineConfig, knots: np.ndarray, u: float) -> np.ndarray:
-    """Vector of the L basis function values at a single point u in [0, 1]."""
-    if not 0.0 <= u <= 1.0:
-        raise ContractError(f"evaluation point must lie in [0, 1], got {u}")
-    return _basis_matrix(np.asarray(knots, dtype=float), config.order, np.array([u]))[0]
-
-
 def _as_factor_matrix(factors) -> np.ndarray:
     f = np.asarray(factors, dtype=float)
     if f.ndim == 1:

@@ -9,10 +9,14 @@ error, 3 numerical failure.
 
 `--knots` (on `test`, `rolling`, `simulate-size` and `simulate-power`)
 takes an interior-knot count or `auto`. The simulate commands run their
-replications, and `rolling` its windows, on `--workers` processes
-(default: one per core); the output does not depend on it. A flat
-key=value config file can stand in for flags (--config FILE); explicit
-flags win on conflict.
+replications, and `rolling` its windows and the row blocks of its two
+files, on `--workers` processes (default: one per core); `test` and
+`knots` read their files on one process per core. The output does not
+depend on the process count. The simulate commands write the knot count
+each cell ran at as a `# chosen_knots=` comment line below the
+provenance line (one count per strength, in grid order, for
+`simulate-power`). A flat key=value config file can stand in for flags
+(--config FILE); explicit flags win on conflict.
 """
 
 from __future__ import annotations
@@ -268,6 +272,11 @@ def _cell_provenance(args, *extra_keys: str) -> str:
     return panels.provenance_line({"command": args.command, **items}, seed=args.seed)
 
 
+def _chosen_knots(reports) -> str:
+    """The comment line naming the knot count each report's cell ran at."""
+    return "# chosen_knots=" + ",".join(str(r.chosen_knots) for r in reports)
+
+
 def _cmd_simulate_size(args) -> int:
     config = _experiment_config(args, AlphaSpec())
     report = run_experiment(config, workers=args.workers)
@@ -276,7 +285,8 @@ def _cmd_simulate_size(args) -> int:
         for name, rate in report.rejection_rates.items()
     ]
     header = ["test", "rejection_rate", "reps", "failures", "valid"]
-    panels.write_table(args.out, header, rows, [_cell_provenance(args)])
+    comments = [_cell_provenance(args), _chosen_knots([report])]
+    panels.write_table(args.out, header, rows, comments)
     return 0
 
 
@@ -284,23 +294,24 @@ def _cmd_simulate_power(args) -> int:
     grid = _parse_grid(args.strength_grid)
     if not grid:
         raise _UsageError("--strength-grid must contain at least one value")
-    rows = []
+    rows, reports = [], []
     for c in grid:
         alpha = AlphaSpec(sparsity=args.sparsity, strength=c, mode=args.alpha_mode)
         config = _experiment_config(args, alpha)
         report = run_experiment(config, workers=args.workers)
+        reports.append(report)
         cell = [args.example, args.errors, args.N, args.T, args.sparsity, panels.format_float(c)]
         for name in TEST_NAMES:
             rows.append(cell + [name, panels.format_float(report.rejection_rates[name])])
     prov = _cell_provenance(args, "sparsity", "strength_grid", "alpha_mode")
     header = ["example", "scenario", "N", "T", "sparsity", "strength", "test", "rejection_rate"]
-    panels.write_table(args.out, header, rows, [prov])
+    panels.write_table(args.out, header, rows, [prov, _chosen_knots(reports)])
     return 0
 
 
 def _cmd_rolling(args) -> int:
-    panel = panels.read_panel(args.panel)
-    factors = panels.read_factors(args.factors)
+    panel = panels.read_panel(args.panel, workers=args.workers)
+    factors = panels.read_factors(args.factors, workers=args.workers)
     rolling = rolling_windows(
         panel.values,
         factors.values,

@@ -8,6 +8,14 @@ digits only); an optional column named "rf" is subtracted from every
 other column on read (excess returns) and then dropped. Lines starting
 with '#' are provenance comments and are skipped. Floats are written
 with 17 significant digits, which round-trips IEEE doubles exactly.
+
+A reader decodes the file as open(path) does (locale encoding, universal
+newlines) and parses its data lines in contiguous row blocks of at least
+_MIN_BLOCK_BYTES, one block per worker at most, on the kept worker pool
+of `pool._map_in_order`: the calling process parses the first block and
+the pool the rest. A file below two blocks is parsed in this process
+alone. Line ends are found in the raw bytes, so the locale encoding must
+keep CR and LF as single ASCII bytes, as UTF-8 and the Latin codecs do.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import csv
 import hashlib
 import io
 import itertools
+import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -24,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import PanelFormatError
+from .pool import _map_in_order, _worker_count
 
 RF_COLUMN = "rf"
 
@@ -66,6 +77,58 @@ def provenance_line(config_items: dict, seed=None) -> str:
 _CSV = dict(delimiter=",", comments=None, quotechar='"', encoding=None)
 
 
+# The smallest row block a read gives a worker. Two blocks break even near
+# this size on a warm pool of 2 vCPUs (N = 1000 panels, medians of 15
+# reads: 1.7 MB took 24 ms in one block and 23 ms in two, 3.4 MB 53 and
+# 42 ms), since a pooled block also pays for its pickled result. Factor
+# files and small panels stay in one process.
+_MIN_BLOCK_BYTES = 1 << 20
+
+# The line ends of universal newlines, matched left to right: "\r\n" is one.
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _decoded(raw: bytes):
+    """raw's lines, decoded as open(path) decodes a file."""
+    return io.TextIOWrapper(io.BytesIO(raw))
+
+
+def _line_start(fh, pos: int) -> int:
+    """The first line start at or after byte pos of the binary file fh, or
+    the file's size when no line starts there."""
+    if pos == 0:
+        return 0
+    offset, buf = pos - 1, b""
+    fh.seek(offset)
+    while True:
+        more = fh.read(1 << 16)
+        buf += more
+        end = _LINE_END.search(buf)
+        # a "\r" that ends what was read may be the first half of "\r\n"
+        if end is not None and (end.end() < len(buf) or not more):
+            return offset + end.end()
+        if not more:
+            return offset + len(buf)
+        # keep only the last byte, which may be that "\r", so that a long
+        # line costs linear time
+        offset += len(buf) - 1
+        buf = buf[-1:]
+
+
+def _header_line(fh, size: int) -> tuple[str | None, int]:
+    """The header line, decoded, and the byte offset of the line after it,
+    or None and the file's size when there is no header."""
+    start = 0
+    while start < size:
+        end = _line_start(fh, start + 1)
+        fh.seek(start)
+        header = next(_records(_decoded(fh.read(end - start))), None)
+        if header is not None:
+            return header, end
+        start = end
+    return None, size
+
+
 def _records(fh):
     """The header and data lines: blank and '#' comment lines are dropped."""
     return (line for line in fh if line.strip("\n") and not line.startswith("#"))
@@ -94,9 +157,9 @@ def _cell_fault(path: str, columns: list[str], reason: str) -> PanelFormatError:
     """The error for the first data row, in file order, that does not parse
     to finite numbers, naming its row and column.
 
-    Runs only after the table parse has raised, or returned a wrong width
-    or a non-finite cell; it rereads the file and parses one row, then
-    one cell, at a time with the same settings.
+    Runs only after a row block's parse has raised, or returned a wrong
+    width or a non-finite cell; it rereads the whole file in this process
+    and parses one row, then one cell, at a time with the same settings.
     """
     width = len(columns) + 1
     with open(path) as fh:
@@ -127,32 +190,57 @@ def _cell_fault(path: str, columns: list[str], reason: str) -> PanelFormatError:
     return PanelFormatError(f"{path}: {reason}")
 
 
-def _read_table(path: str) -> Panel:
+def _parse_block(job) -> tuple[list[str], np.ndarray]:
+    """The labels and the value rows of the data lines in bytes [start,
+    stop) of path, a range that starts at a line start: (path, start, stop)
+    is the job. A ValueError means a cell or row does not parse. The values
+    are a view; the caller's one np.concatenate copies every block into one
+    C-contiguous array."""
+    path, start, stop = job
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        records = _records(_decoded(fh.read(stop - start)))
     index: list[str] = []
 
     def label(cell: str) -> float:
         index.append(cell.strip())
         return 0.0
 
-    with open(path) as fh:
-        records = _records(fh)
-        header = next(records, None)
+    first = next(records, None)
+    if first is None:
+        return index, np.empty((0, 0))
+    # column 0 holds the labels; `label` collects them and leaves 0.0
+    table = np.loadtxt(
+        itertools.chain([first], records), ndmin=2, converters={0: label}, **_CSV
+    )
+    return index, table[:, 1:]
+
+
+def _read_table(path: str, workers: int | None) -> Panel:
+    workers = _worker_count(workers)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header, body = _header_line(fh, size)
         if header is None:
             raise PanelFormatError(f"{path}: file has no header row")
         columns = _header_columns(_cells(header), path)
-        first = next(records, None)
-        if first is None:
-            raise PanelFormatError(f"{path}: no data rows")
-        try:
-            # column 0 holds the labels; `label` collects them and leaves 0.0
-            table = np.loadtxt(
-                itertools.chain([first], records), ndmin=2, converters={0: label}, **_CSV
-            )
-        except ValueError as exc:
-            raise _cell_fault(path, columns, str(exc)) from None
-    if table.shape[1] != len(columns) + 1 or not np.isfinite(table).all():
+        n_blocks = max(1, min(workers, (size - body) // _MIN_BLOCK_BYTES))
+        inner = [body + k * (size - body) // n_blocks for k in range(1, n_blocks)]
+        cuts = [body] + [_line_start(fh, pos) for pos in inner] + [size]
+    jobs = [(path, start, stop) for start, stop in zip(cuts, cuts[1:])]
+    try:
+        blocks = _map_in_order(_parse_block, jobs, workers)
+    except ValueError as exc:
+        raise _cell_fault(path, columns, str(exc)) from None
+    index = [label for labels, _ in blocks for label in labels]
+    if not index:
+        raise PanelFormatError(f"{path}: no data rows")
+    tables = [table for labels, table in blocks if labels]
+    if any(table.shape[1] != len(columns) for table in tables):
         raise _cell_fault(path, columns, "table does not parse")
-    values = np.ascontiguousarray(table[:, 1:])
+    values = np.concatenate(tables)
+    if not np.isfinite(values).all():
+        raise _cell_fault(path, columns, "table does not parse")
     if RF_COLUMN in columns:
         k = columns.index(RF_COLUMN)
         rf = values[:, k]
@@ -170,14 +258,17 @@ def _read_table(path: str) -> Panel:
     return Panel(values, tuple(columns), tuple(index))
 
 
-def read_panel(path: str) -> Panel:
-    """Read a return panel; subtracts an 'rf' column when present."""
-    return _read_table(path)
+def read_panel(path: str, workers: int | None = None) -> Panel:
+    """Read a return panel; subtracts an 'rf' column when present.
+
+    The rows are parsed on up to `workers` processes, this one included
+    (default: the core count); the result does not depend on it."""
+    return _read_table(path, workers)
 
 
-def read_factors(path: str) -> Panel:
-    """Read a factor matrix; the file format matches return panels."""
-    return _read_table(path)
+def read_factors(path: str, workers: int | None = None) -> Panel:
+    """Read a factor matrix; the file format and `workers` match read_panel."""
+    return _read_table(path, workers)
 
 
 def _label_cell(label) -> str:

@@ -46,34 +46,10 @@ SCALE_FLOOR = 1e-12
 NEAR_ROW_SHARE = 1e-4
 
 
-def spatial_sign(v) -> np.ndarray:
-    """Direction vector v / ||v||, with the zero vector mapped to zero."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ContractError(f"spatial_sign expects a vector, got ndim={v.ndim}")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.zeros_like(v)
-    return v / norm
-
-
 def _inverse_norms(norms: np.ndarray) -> np.ndarray:
     """1 / norms, with 0 for a zero norm (a zero row's spatial sign is the
     zero vector, so it carries no weight)."""
     return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
-
-
-def _row_signs(rows: np.ndarray) -> np.ndarray:
-    """Spatial signs of each row of a matrix; zero rows stay zero.
-
-    The statistics never form this matrix; it is the direct form that the
-    tests check the product forms against.
-    """
-    norms = np.linalg.norm(rows, axis=1)
-    out = np.zeros_like(rows)
-    nz = norms > 0.0
-    out[nz] = rows[nz] / norms[nz, None]
-    return out
 
 
 @dataclass(frozen=True)

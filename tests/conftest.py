@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from alphasign import harness
+from alphasign import pool
 from alphasign.basis import SplineConfig, build_design, fit_panel
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.stat_tests import TestResult
@@ -21,11 +21,26 @@ settings.load_profile("suite")
 
 @pytest.fixture(autouse=True)
 def no_kept_pool():
-    """Shut down the harness's kept process pool after each test. Its
+    """Shut down the kept process pool after each test. Its
     workers are forked once, so without this a stand-in pool or a
     monkeypatched function from one test would reach later tests."""
     yield
-    harness._close_pool()
+    pool._close_pool()
+
+
+@pytest.fixture(scope="session")
+def row_signs():
+    """The spatial signs of a matrix's rows, zero rows staying zero: the
+    direct form that the statistics' product forms are checked against."""
+
+    def signs(rows):
+        norms = np.linalg.norm(rows, axis=1)
+        out = np.zeros_like(rows)
+        nz = norms > 0.0
+        out[nz] = rows[nz] / norms[nz, None]
+        return out
+
+    return signs
 
 
 @pytest.fixture(scope="session")

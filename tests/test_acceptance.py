@@ -48,7 +48,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from alphasign.basis import SplineConfig, bspline_basis, build_design, fit_panel, make_knots
+from alphasign.basis import SplineConfig, _basis_matrix, build_design, fit_panel, make_knots
 from alphasign.dgp import ERROR_AR_RHO, AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.harness import (
     ExperimentConfig,
@@ -376,19 +376,11 @@ def test_criterion_8_spline_oracles():
     rng = np.random.default_rng(ACCEPT_SEED)
     worst_unity = 0.0
     for n, order in ((0, 3), (2, 3), (5, 2), (8, 4), (3, 1)):
-        config = SplineConfig(n, order)
-        knots = make_knots(n, order)
-        for u in rng.random(1000):
-            worst_unity = max(
-                worst_unity, abs(bspline_basis(config, knots, float(u)).sum() - 1.0)
-            )
-    config = SplineConfig(0, 3)
-    knots = make_knots(0, 3)
-    worst_bernstein = 0.0
-    for u in np.linspace(0.0, 1.0, 101):
-        values = bspline_basis(config, knots, float(u))
-        bern = np.array([(1 - u) ** 2, 2 * u * (1 - u), u**2])
-        worst_bernstein = max(worst_bernstein, float(np.max(np.abs(values - bern))))
+        values = _basis_matrix(make_knots(n, order), order, rng.random(1000))
+        worst_unity = max(worst_unity, float(np.max(np.abs(values.sum(axis=1) - 1.0))))
+    u = np.linspace(0.0, 1.0, 101)
+    bern = np.column_stack([(1 - u) ** 2, 2 * u * (1 - u), u**2])
+    worst_bernstein = float(np.max(np.abs(_basis_matrix(make_knots(0, 3), 3, u) - bern)))
     ok = worst_unity <= 1e-12 and worst_bernstein <= 1e-12
     assert _record(
         "criterion 8 (spline oracles)",

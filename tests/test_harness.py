@@ -199,12 +199,12 @@ def test_a_cell_no_replication_can_run_raises(workers):
 
 
 def test_a_pool_starts_only_for_two_or_more_workers_and_reps(monkeypatch):
-    import alphasign.harness as harness
+    import alphasign.pool as pool
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
     assert run_experiment(_tiny_config(reps=1), workers=4).failures == 0
     assert run_experiment(_tiny_config(reps=3), workers=1).failures == 0
     with pytest.raises(AssertionError, match="a pool was started"):
@@ -212,7 +212,7 @@ def test_a_pool_starts_only_for_two_or_more_workers_and_reps(monkeypatch):
 
 
 def test_the_caller_runs_the_first_share_of_the_jobs(monkeypatch):
-    import alphasign.harness as harness
+    import alphasign.pool as pool
 
     pooled = []
 
@@ -227,17 +227,17 @@ def test_the_caller_runs_the_first_share_of_the_jobs(monkeypatch):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-    assert harness._map_in_order(abs, list(range(-7, 0)), 3) == list(range(7, 0, -1))
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", InlinePool)
+    assert pool._map_in_order(abs, list(range(-7, 0)), 3) == list(range(7, 0, -1))
     # 7 jobs at 3 workers: this process takes 7 // 3 = 2, a pool of 2 the rest
     assert pooled == [(2, list(range(-5, 0)))]
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The harness's executors: `made` lists each one it constructs and
+    """The kept pool's executors: `made` lists each one it constructs and
     `shut` each one it shuts down, in order."""
-    import alphasign.harness as harness
+    import alphasign.pool as pool
 
     made, shut = [], []
 
@@ -251,7 +251,7 @@ def pools(monkeypatch):
             shut.append(self)
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", Recorded)
     return SimpleNamespace(made=made, shut=shut)
 
 
@@ -300,9 +300,9 @@ def _exit_code(pid: int, timeout: float = 60.0) -> int:
 
 
 def test_a_forked_child_never_submits_to_the_parents_pool(pools):
-    import alphasign.harness as harness
+    import alphasign.pool as pool
 
-    assert harness._map_in_order(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+    assert pool._map_in_order(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
     (kept,) = pools.made
     pid = os.fork()
     if pid == 0:  # the child leaves through os._exit, whatever happens
@@ -313,21 +313,21 @@ def test_a_forked_child_never_submits_to_the_parents_pool(pools):
                 raise AssertionError("the child used its parent's pool")
 
             kept.map = kept.submit = kept.shutdown = refuse
-            assert harness._pool is None and harness._inherited_pools[-1][1] is kept
-            assert harness._map_in_order(abs, [-5, -6, -7, -8], 2) == [5, 6, 7, 8]
-            assert harness._pool[1] is not kept
-            harness._close_pool()
+            assert pool._pool is None and pool._inherited_pools[-1][1] is kept
+            assert pool._map_in_order(abs, [-5, -6, -7, -8], 2) == [5, 6, 7, 8]
+            assert pool._pool[1] is not kept
+            pool._close_pool()
             code = 0
         finally:
             os._exit(code)
     assert _exit_code(pid) == 0
     # the parent's pool is still kept and still serves
-    assert harness._map_in_order(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+    assert pool._map_in_order(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
     assert pools.made == [kept] and pools.shut == []
 
 
 def test_a_killed_worker_is_replaced_by_a_fresh_pool(pools):
-    import alphasign.harness as harness
+    import alphasign.pool as pool
 
     Y, F = _small_rolling_panel()
     serial = rolling_windows(Y, F, window=25, knots=1, workers=1)
@@ -337,7 +337,7 @@ def test_a_killed_worker_is_replaced_by_a_fresh_pool(pools):
     # the call that meets the broken pool raises and drops it
     with pytest.raises(BrokenProcessPool):
         rolling_windows(Y, F, window=25, knots=1, workers=2)
-    assert harness._pool is None and pools.shut == [broken]
+    assert pool._pool is None and pools.shut == [broken]
     fresh = rolling_windows(Y, F, window=25, knots=1, workers=2)
     assert len(pools.made) == 2 and pools.made[1] is not broken
     assert np.array_equal(fresh.p_values, serial.p_values)
@@ -346,7 +346,7 @@ def test_a_killed_worker_is_replaced_by_a_fresh_pool(pools):
 def test_threads_that_share_and_replace_the_kept_pool_get_their_own_results():
     # more threads than cores, asking for pools of two sizes in turn, so
     # that the kept pool is replaced while other threads' jobs are on it
-    import alphasign.harness as harness
+    import alphasign.pool as pool
 
     results, errors = {}, []
 
@@ -354,7 +354,7 @@ def test_threads_that_share_and_replace_the_kept_pool_get_their_own_results():
         try:
             for r in range(6):
                 jobs = list(range(-8 * (k + 1), -8 * k))
-                results[k, r] = harness._map_in_order(abs, jobs, 2 + (k + r) % 2)
+                results[k, r] = pool._map_in_order(abs, jobs, 2 + (k + r) % 2)
         except Exception as exc:  # reported below, with the thread's number
             errors.append((k, exc))
 
@@ -483,12 +483,12 @@ def test_a_failing_window_is_named(workers):
 
 
 def test_a_rolling_pool_starts_only_for_two_or_more_workers_and_windows(monkeypatch):
-    import alphasign.harness as harness
+    import alphasign.pool as pool
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
     Y, F = _degenerate_window_panel()
     assert rolling_windows(Y[:30], F[:30], window=30, knots=1, workers=4).p_values.shape[0] == 1
     assert rolling_windows(Y[:30], F[:30], window=25, knots=1, workers=1).p_values.shape[0] == 6

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alphasign import __version__
+from alphasign import __version__, panels, pool
 from alphasign.cli import main
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
-from alphasign.errors import PanelFormatError
+from alphasign.errors import ContractError, PanelFormatError
+from alphasign.harness import ExperimentConfig, resolve_knots
 from alphasign.panels import (
     Panel,
     format_float,
@@ -117,6 +119,13 @@ def test_malformed_panel_messages_name_row_and_column(tmp_path, body, message):
     with pytest.raises(PanelFormatError) as info:
         read_panel(path)
     assert str(info.value) == f"{path}: {message}"
+    # the same message when the rows are parsed in blocks of one byte and up
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(panels, "_MIN_BLOCK_BYTES", 1)
+        for workers in (2, 3):
+            with pytest.raises(PanelFormatError) as info:
+                read_panel(path, workers=workers)
+            assert str(info.value) == f"{path}: {message}"
 
 
 def _reference_read(path):
@@ -172,7 +181,7 @@ def _panel_files(draw):
     for _ in range(draw(st.integers(0, 3))):
         extra = draw(st.sampled_from(["# note, \"quoted\"\n", "#\n", "\n"]))
         lines.insert(draw(st.integers(0, len(lines))), extra)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return "".join(lines), newline
 
 
@@ -183,13 +192,157 @@ def test_reader_matches_per_cell_reference(tmp_path_factory, panel_file):
     with open(path, "w", newline=newline) as fh:
         fh.write(text)
     values, columns, index = _reference_read(path)
-    panel = read_panel(path)
-    assert panel.columns == columns
-    assert panel.index == index
-    assert panel.values.shape == values.shape
-    assert panel.values.tobytes() == values.tobytes()
-    assert panel.values.flags.c_contiguous
-    assert read_factors(path).values.tobytes() == values.tobytes()
+    # one process, then row blocks of one byte and up on pools of 1 and 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(panels, "_MIN_BLOCK_BYTES", 1)
+        for workers in (1, 2, 3):
+            panel = read_panel(path, workers=workers)
+            assert panel.columns == columns
+            assert panel.index == index
+            assert panel.values.shape == values.shape
+            assert panel.values.tobytes() == values.tobytes()
+            assert panel.values.flags.c_contiguous
+            assert read_factors(path, workers=workers).values.tobytes() == values.tobytes()
+
+
+def _universal_line_starts(raw: bytes) -> list[int]:
+    """Where each line of raw starts under universal newlines, and its end."""
+    lengths = [len(line.encode()) for line in io.TextIOWrapper(io.BytesIO(raw), newline="")]
+    return [0] + list(itertools.accumulate(lengths))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"", b"a", b"\n", b"\r", b"\r\n", b"\n\r", b"a\r\nb\rc\n\r\n\rd", b"ab\r\r\n\n\rcd\r"],
+)
+def test_line_starts_follow_universal_newlines(tmp_path, raw):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(raw)
+    starts = _universal_line_starts(raw)
+    with open(path, "rb") as fh:
+        for pos in range(len(raw) + 1):
+            assert panels._line_start(fh, pos) == min(s for s in starts if s >= pos), pos
+
+
+def test_a_line_end_split_across_reads_is_one_line_end(tmp_path):
+    # the first read from byte 0 ends on a "\r", of a "\r\n" or alone
+    long = b"x" * ((1 << 16) - 1)
+    path = tmp_path / "long.csv"
+    path.write_bytes(long + b"\r\nz\r")
+    with open(path, "rb") as fh:
+        assert [panels._line_start(fh, pos) for pos in (1, len(long) + 1, len(long) + 2)] == [
+            len(long) + 2, len(long) + 2, len(long) + 2,
+        ]
+        assert panels._line_start(fh, len(long) + 4) == len(long) + 4
+    path.write_bytes(long + b"\rz\n")
+    with open(path, "rb") as fh:
+        assert panels._line_start(fh, 1) == len(long) + 1
+
+
+# Blank and comment lines around the cuts of 2-4 blocks: one block starts
+# on a comment line, one on a blank line, and one holds comments alone.
+_CUT_LINES = ['# provenance', 't,A,"B,1"', '"x,1",1.5,2', '# cut, "here"', '', '"y",3,4', '',
+              'z,5,6', '#', '# only', '# comments', '"w,2",7,8', 'v,9,10']
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_blocks_cut_at_any_line_give_the_one_block_read(tmp_path, monkeypatch, newline):
+    path = str(tmp_path / "cuts.csv")
+    with open(path, "w", newline=newline) as fh:
+        fh.write("\n".join(_CUT_LINES) + "\n")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    whole = read_panel(path, workers=1)
+    assert whole.columns == ("A", "B,1") and whole.index == ("x,1", "y", "z", "w,2", "v")
+    assert whole.values.tobytes() == _reference_read(path)[0].tobytes()
+
+    jobs, real = [], panels._map_in_order
+
+    def recording(fn, block_jobs, workers):
+        jobs.append(block_jobs)
+        return real(fn, block_jobs, workers)
+
+    monkeypatch.setattr(panels, "_map_in_order", recording)
+    monkeypatch.setattr(panels, "_MIN_BLOCK_BYTES", 1)
+    for workers in (2, 3, 4):
+        panel = read_panel(path, workers=workers)
+        assert (panel.columns, panel.index) == (whole.columns, whole.index)
+        assert panel.values.tobytes() == whole.values.tobytes()
+    pooled = [raw[start:stop] for block_jobs in jobs for _, start, stop in block_jobs[1:]]
+    assert [len(block_jobs) for block_jobs in jobs] == [2, 3, 4]
+    assert any(block.startswith(b"#") for block in pooled)
+    assert any(block.startswith(newline.encode()) for block in pooled)
+    assert any(
+        all(line.startswith("#") for line in block.decode().splitlines() if line)
+        for block in pooled
+    )
+
+
+@pytest.mark.parametrize(
+    "last_row,message",
+    [
+        ("200,1,x", "row 201, column 'B' is not numeric: 'x'"),
+        ("200,1,inf", "row 201, column 'B' is not finite: 'inf'"),
+        ("200,1", "row 201 has 2 cells, expected 3"),
+    ],
+)
+def test_a_fault_in_the_pools_block_names_its_row_and_column(
+    tmp_path, monkeypatch, last_row, message
+):
+    path = str(tmp_path / "late_fault.csv")
+    with open(path, "w") as fh:
+        fh.write("t,A,B\n" + "".join(f"{i},{i}.5,2\n" for i in range(1, 200)) + last_row + "\n")
+    made, real = [], pool.ProcessPoolExecutor
+
+    def counting(max_workers):
+        made.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(panels, "_MIN_BLOCK_BYTES", 1)
+    with pytest.raises(PanelFormatError) as info:
+        read_panel(path, workers=2)
+    assert str(info.value) == f"{path}: {message}"
+    assert made == [1]  # the last row's block was parsed on the pool
+
+
+def test_a_file_below_two_blocks_is_read_in_this_process(cli_files, monkeypatch):
+    made, real = [], pool.ProcessPoolExecutor
+
+    def counting(max_workers):
+        made.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", counting)
+    assert read_panel(cli_files["panel"], workers=4).values.shape == (80, 8)
+    out = str(cli_files["root"] / "below-floor.csv")
+    assert main(["test", cli_files["panel"], cli_files["factors"], "--knots", "2", "--out", out]) == 0
+    assert made == []
+
+
+def test_cli_rolling_reads_its_files_on_its_workers(cli_files, monkeypatch):
+    # with blocks of 1 KB the panel (25 KB) is read in blocks
+    made, real = [], pool.ProcessPoolExecutor
+
+    def counting(max_workers):
+        made.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(panels, "_MIN_BLOCK_BYTES", 1024)
+    argv = ["rolling", cli_files["panel"], cli_files["factors"], "--window", "79", "--knots", "1",
+            "--out", str(cli_files["root"] / "rolling-read.csv")]
+    assert main(argv + ["--workers", "1"]) == 0
+    assert made == []
+    assert main(argv + ["--workers", "2"]) == 0
+    assert made == [1]  # the panel's blocks and the windows share one pool
+
+
+@pytest.mark.parametrize("workers", [0, -4, 1.5, True])
+def test_readers_need_a_worker(cli_files, workers):
+    for read in (read_panel, read_factors):
+        with pytest.raises(ContractError, match="^workers must be"):
+            read(cli_files["factors"], workers=workers)
 
 
 def _reference_write(path, values, columns, index):
@@ -435,15 +588,15 @@ def test_cli_simulate_power(cli_files):
 
 
 def test_cli_simulate_power_runs_its_grid_on_one_pool(cli_files, monkeypatch):
-    from alphasign import harness
+    from alphasign import pool
 
-    made, real = [], harness.ProcessPoolExecutor
+    made, real = [], pool.ProcessPoolExecutor
 
     def counting(max_workers):
         made.append(max_workers)
         return real(max_workers=max_workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", counting)
     out = str(cli_files["root"] / "power-pool.csv")
     argv = ["simulate-power", "--N", "10", "--T", "70", "--reps", "4", "--knots", "1",
             "--strength-grid", "0,2,4", "--workers", "2", "--out", out]
@@ -496,6 +649,9 @@ def test_cli_tables_share_one_layout(cli_files, capsys, command):
     text = out.read_bytes().decode()
     comment, table = text.split("\n", 1)
     assert comment.startswith("# alphasign ") and not comment.endswith("\r")
+    if command.startswith("simulate"):
+        chosen, table = table.split("\n", 1)
+        assert chosen == "# chosen_knots=1"
     lines = table.split("\r\n")
     assert lines[0] == header
     assert len(lines) > 2 and lines[-1] == ""
@@ -580,17 +736,20 @@ def test_cli_workers_must_be_a_positive_count(cli_files, capsys):
     assert "invalid --workers value: '0'" in capsys.readouterr().err
 
 
-# Each simulate command with a fixed argv, and the config digest of its
-# provenance line, which must not move: it identifies outputs already written.
+# Each simulate command with a fixed argv, the config digest of its
+# provenance line, which must not move: it identifies outputs already
+# written, and the chosen-knots line below it.
 _CELLS = {
     "simulate-size": (
         ["--N", "10", "--T", "70", "--reps", "4", "--seed", "5", "--knots", "1"],
         "68bcb9a9cd63",
+        "# chosen_knots=1",
     ),
     "simulate-power": (
         ["--N", "10", "--T", "70", "--reps", "4", "--seed", "5", "--sparsity", "1",
          "--strength-grid", "3,6", "--knots", "1"],
         "956ce2b6083d",
+        "# chosen_knots=1,1",
     ),
 }
 
@@ -599,14 +758,34 @@ _CELLS = {
 def test_cli_simulate_output_is_fixed_by_its_flags(capsys, command):
     # one worker and a pool of two give the same bytes, under a provenance
     # line that the worker count does not enter
-    flags, digest = _CELLS[command]
+    flags, digest, chosen = _CELLS[command]
     tables = []
     for workers in ("1", "2"):
         capsys.readouterr()
         assert main([command, *flags, "--workers", workers]) == 0
         tables.append(capsys.readouterr().out)
     assert tables[0] == tables[1]
-    assert tables[0].split("\n", 1)[0] == f"# alphasign {__version__} config={digest} seed=5"
+    lines = tables[0].split("\n", 2)
+    assert lines[0] == f"# alphasign {__version__} config={digest} seed=5"
+    assert lines[1] == chosen
+
+
+def test_cli_simulate_writes_the_knots_each_cell_ran_at(capsys):
+    # under --knots auto each cell selects on its own replication 0
+    flags = ["--N", "10", "--T", "70", "--reps", "2", "--seed", "5", "--workers", "1"]
+
+    def chosen(alpha):
+        return resolve_knots(ExperimentConfig(
+            example=1, scenario=ErrorScenario("normal"), N=10, T=70, reps=2, seed=5,
+            alpha_spec=alpha,
+        ))
+
+    capsys.readouterr()
+    assert main(["simulate-size", *flags]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == f"# chosen_knots={chosen(AlphaSpec())}"
+    assert main(["simulate-power", *flags, "--strength-grid", "0,20"]) == 0
+    expected = [chosen(AlphaSpec(sparsity=2, strength=c)) for c in (0.0, 20.0)]
+    assert capsys.readouterr().out.split("\n")[1] == "# chosen_knots=" + ",".join(map(str, expected))
 
 
 def test_cli_rolling_output_does_not_depend_on_the_workers(cli_files, capsys):

@@ -2,40 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
-from alphasign.spatial import (
-    SpatialLocation,
-    _row_signs,
-    moment_estimates,
-    spatial_median_scale,
-    spatial_sign,
-)
+from alphasign.spatial import SpatialLocation, moment_estimates, spatial_median_scale
 
 # a divide by zero or an invalid value anywhere in the product form of the
 # iteration is a defect, not a warning
 pytestmark = pytest.mark.filterwarnings("error")
-
-finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-@given(st.lists(finite_coord, min_size=1, max_size=8))
-def test_spatial_sign_has_unit_norm_or_is_zero(coords):
-    v = np.array(coords)
-    s = spatial_sign(v)
-    if np.linalg.norm(v) == 0.0:
-        assert np.array_equal(s, np.zeros_like(v))
-    else:
-        assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
-        # parallel to the input
-        assert np.allclose(s * np.linalg.norm(v), v, rtol=1e-9, atol=1e-9)
-
-
-def test_spatial_sign_rejects_matrices():
-    with pytest.raises(ContractError):
-        spatial_sign(np.zeros((2, 2)))
 
 
 def test_univariate_location_is_the_sample_median():
@@ -148,14 +121,14 @@ def test_row_on_the_location_drops_out():
     assert float(N * np.max(np.abs((U * U).mean(axis=0) - 1.0 / N))) <= 1e-8
 
 
-def test_row_signs_match_reference_exactly(small_fit):
+def test_row_signs_match_reference_exactly(small_fit, row_signs):
     rows = small_fit.residuals.copy()
     rows[[2, 7]] = 0.0
     norms = np.linalg.norm(rows, axis=1)
     expected = np.zeros_like(rows)
     expected[norms > 0] = rows[norms > 0] / norms[norms > 0, None]
-    assert np.array_equal(_row_signs(rows), expected)
-    assert np.array_equal(_row_signs(small_fit.residuals),
+    assert np.array_equal(row_signs(rows), expected)
+    assert np.array_equal(row_signs(small_fit.residuals),
                           small_fit.residuals / np.linalg.norm(small_fit.residuals, axis=1)[:, None])
 
 

@@ -16,7 +16,7 @@ from alphasign import cli, panels
 from alphasign.basis import FitResult, SplineConfig, build_design, fit_panel
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
-from alphasign.spatial import MomentEstimates, SpatialLocation, _row_signs
+from alphasign.spatial import MomentEstimates, SpatialLocation
 from alphasign.stat_tests import (
     REFERENCES,
     TEST_NAMES,
@@ -146,7 +146,7 @@ def test_css_input_guards(small_sim, small_design, small_fit):
         css_test(FitResult(E, E_tilde[:100]), small_design)
 
 
-def test_css_and_trace_match_the_sign_matrix_form(small_design, small_fit):
+def test_css_and_trace_match_the_sign_matrix_form(small_design, small_fit, row_signs):
     # both are computed without the sign matrix; pin them to it, with two
     # zero rows whose signs are the zero vector
     E, E_tilde = small_fit.residuals.copy(), small_fit.residuals_tilde.copy()
@@ -155,12 +155,12 @@ def test_css_and_trace_match_the_sign_matrix_form(small_design, small_fit):
     h = small_design.h
     hh = float(h @ h)
     h2 = h * h
-    W = (_row_signs(E_tilde) @ _row_signs(E_tilde).T) ** 2
+    W = (row_signs(E_tilde) @ row_signs(E_tilde).T) ** 2
     np.fill_diagonal(W, 0.0)
     trace = float(h2 @ W @ h2) / (hh * (hh - 1.0))
     assert trace_sigma_u_sq(E_tilde @ E_tilde.T, h) == pytest.approx(trace, rel=1e-12, abs=0.0)
 
-    Sh = _row_signs(E).T @ h
+    Sh = row_signs(E).T @ h
     bias = projection_sign_bias(small_design)
     numerator = float(Sh @ Sh) / hh - 1.0 - bias
     var_factor = 1.0 - float(np.sum(h**4)) / (hh * hh) + 2.0 * bias
