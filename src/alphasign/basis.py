@@ -173,7 +173,7 @@ def _panel_stack(panel, factors) -> tuple[np.ndarray, np.ndarray]:
     T x N panel with its factors is a stack of one, with every check of
     `_panel_and_factors`; a stack is taken as is (a view stays a view),
     with the same checks except the scan of the panel's values for
-    non-finite ones, which the caller makes (`_check_finite_panel`)."""
+    non-finite ones, which the caller makes (`_squared_norms`)."""
     if np.ndim(panel) != 3:
         Y, f = _panel_and_factors(panel, factors)
         return Y[None], f[None]
@@ -439,7 +439,7 @@ def bic_penalty(N: int, T: int, n_factors: int, config: SplineConfig) -> float:
     return math.log(nt) / nt * (n_factors + 1) * config.basis_dim
 
 
-def bic_score(panel, factors, config: SplineConfig):
+def bic_score(panel, factors, config: SplineConfig, *, _norms=None):
     """Information criterion for one interior-knot count.
 
     The goodness-of-fit term is the log mean squared residual of the
@@ -457,14 +457,13 @@ def bic_score(panel, factors, config: SplineConfig):
     scored in one batched factorization and the W scores come back as an
     array, each equal to the panel's own score; the first panel whose
     design is unusable raises its error for the whole stack.
+
+    `_norms` is private to the knot search, which scores every candidate
+    on one stack: the panels' `_squared_norms`, taken once for the search.
     """
     Y, f = _panel_stack(panel, factors)
     W, T, N = Y.shape
-    norms = [float(np.vdot(Y[w], Y[w])) for w in range(W)]
-    # A non-finite value makes its panel's squared norm non-finite, and so
-    # does overflow in a finite panel, which is then scored all the same.
-    if not all(map(math.isfinite, norms)):
-        _check_finite_panel(Y)
+    norms = _squared_norms(Y) if _norms is None else _norms
     q = _factor_twins(f, config, rotate=False).Q_tilde
     fitted = np.swapaxes(q, 1, 2) @ Y
     penalty = bic_penalty(N, T, f.shape[2], config)
@@ -477,6 +476,18 @@ def bic_score(panel, factors, config: SplineConfig):
         # exact interpolation pushes the criterion to -inf, so it wins
         scores[w] = math.log(rss / (T * N)) + penalty if rss > 0.0 else -math.inf
     return scores if np.ndim(panel) == 3 else float(scores[0])
+
+
+def _squared_norms(Y: np.ndarray) -> list[float]:
+    """||Y_w||^2 of each panel of a (W, T, N) stack. Raises ContractError
+    if a panel holds a non-finite value: such a value makes its panel's
+    squared norm non-finite, and only then is the stack scanned. Overflow
+    in a finite panel does the same, and that panel is scored all the
+    same."""
+    norms = [float(np.vdot(Y[w], Y[w])) for w in range(Y.shape[0])]
+    if not all(map(math.isfinite, norms)):
+        _check_finite_panel(Y)
+    return norms
 
 
 def _check_knots(knots) -> int | str:
@@ -497,10 +508,11 @@ def default_knot_candidates(T: int) -> range:
 _UNUSABLE = (SingularDesignError, ContractError)
 
 
-def _score_or_error(panel, factors, config: SplineConfig):
-    """bic_score, or the error that makes the candidate unusable."""
+def _score_or_error(panel, factors, config: SplineConfig, norms):
+    """bic_score of a (1, T, N) stack, or the error that makes the
+    candidate unusable."""
     try:
-        return bic_score(panel, factors, config)
+        return bic_score(panel, factors, config, _norms=norms)[0]
     except _UNUSABLE as exc:
         return exc
 
@@ -514,6 +526,7 @@ def _score_knot_candidates(panel, factors, candidates, order: int) -> list[dict]
     dict per panel, keyed in ascending n (a single panel is a stack of
     one). Each candidate is scored on the whole stack by one `bic_score`
     call; a candidate unusable on some panel is rescored panel by panel.
+    Every call reads the panels' squared norms, taken once.
     Candidates with too few observations or singular designs are
     unusable. Raises ContractError if the candidate set is empty or holds
     a count that is not a non-negative integer, the order is not an
@@ -528,15 +541,15 @@ def _score_knot_candidates(panel, factors, candidates, order: int) -> list[dict]
     # observations or a singular design).
     configs = [SplineConfig(n, order) for n in cand]
     Y, f = _panel_stack(panel, factors)
-    if np.ndim(panel) == 3:
-        _check_finite_panel(Y)
+    norms = _squared_norms(Y)
     scores = [{} for _ in range(Y.shape[0])]
     for config in configs:
         try:
-            stacked = bic_score(Y, f, config).tolist()
+            stacked = bic_score(Y, f, config, _norms=norms).tolist()
         except _UNUSABLE as exc:
             stacked = [exc] if len(scores) == 1 else [
-                _score_or_error(Y[w], f[w], config) for w in range(len(scores))
+                _score_or_error(Y[w : w + 1], f[w : w + 1], config, norms[w : w + 1])
+                for w in range(len(scores))
             ]
         for row, score in zip(scores, stacked):
             row[config.interior_knots] = score

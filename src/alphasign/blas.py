@@ -1,4 +1,5 @@
-"""One BLAS thread for the battery's dense algebra.
+"""Process-wide settings for the battery's dense algebra: one BLAS thread,
+and a heap that keeps its pages between batteries.
 
 A battery's matrix products are small: a T x K spline basis against the
 T x N panel, and one T x T or N x N sign gram. A multi-threaded OpenBLAS
@@ -13,6 +14,27 @@ loaded is found among the shared objects this process has mapped and
 driven through ctypes, as threadpoolctl does. Where that library cannot
 be found (another BLAS, or no /proc), nothing changes. The count is
 process-wide: batteries run from several threads at once share it.
+
+A battery allocates and frees arrays of 0.5-5 MB (T x N and T x T), and
+a rolling run or a Monte Carlo cell runs thousands of batteries. glibc's
+malloc raises its mmap threshold to fit such arrays, but keeps its trim
+threshold at twice that, so after each battery it returns the freed top
+of the heap to the kernel and the next battery faults every page back
+in: about 600 minor faults per battery at N = 200, T = 350. At import
+this module sets glibc's thresholds once, through `mallopt`: arrays up
+to 32 MiB (glibc's own 64-bit ceiling for its dynamic threshold) come
+from the heap, and the heap is trimmed only when 64 MiB (twice that)
+lie free at its top. A process then keeps up to its peak heap between
+batteries, and a forked worker inherits the setting. Where `mallopt`
+cannot be found or refuses a value (another C library, or a preloaded
+allocator), nothing changes. No arithmetic depends on it.
+
+Threads keep glibc's arenas of their own. With one shared arena
+(M_ARENA_MAX = 1) the pool's result and queue threads allocate in the
+main heap at moments that differ from run to run; as that heap is no
+longer trimmed, where their chunks land fixes where a battery's arrays
+lie for the rest of the process, and each process ran at a speed of its
+own.
 """
 
 from __future__ import annotations
@@ -55,6 +77,37 @@ def _openblas_controls():
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 return get, set_
     return None
+
+
+# mallopt parameters (glibc's malloc.h) and the values set at import.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_POLICY = (
+    (_M_MMAP_THRESHOLD, 32 * 2**20),
+    (_M_TRIM_THRESHOLD, 64 * 2**20),
+)
+
+
+def _mallopt():
+    """The C library's mallopt(param, value), or None where it has none."""
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return fn
+
+
+def _set_heap_policy() -> bool:
+    """Apply _HEAP_POLICY through mallopt, trying every value; whether
+    every value was taken."""
+    mallopt = _mallopt()
+    if mallopt is None:
+        return False
+    return all([mallopt(param, value) == 1 for param, value in _HEAP_POLICY])
+
+
+_heap_policy_set = _set_heap_policy()
 
 
 @contextlib.contextmanager

@@ -1,9 +1,16 @@
 """OpenBLAS runs at one thread inside a battery and a replication, and gets
-its count back."""
+its count back; glibc's heap keeps a battery's pages for the next one."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alphasign
 from alphasign import basis, blas, dgp, stat_tests
 from alphasign.dgp import ErrorScenario
 from alphasign.harness import ExperimentConfig, _simulate, replication_rng, run_replication_results
@@ -132,3 +139,78 @@ def test_a_direct_draw_is_the_harness_draw(N):
         drawn = _simulate(config, 2)
     assert np.array_equal(direct.panel, drawn.panel)
     assert np.array_equal(direct.factors, drawn.factors)
+
+
+# A panel of the paper's size, N = 200 and T = 350; the scripts below run
+# in a fresh interpreter, so the heap starts as a program's heap does.
+_PANEL = """
+import json, resource
+import numpy as np
+from alphasign import AlphaSpec, ErrorScenario, blas, run_all_tests, simulate_panel
+sim = simulate_panel(1, ErrorScenario("t"), AlphaSpec(), 200, 350, np.random.default_rng(1))
+"""
+
+# ctypes finds no mallopt in the C library, as on a libc without one.
+_NO_MALLOPT = """
+import ctypes
+
+class _NoMallopt(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name == "mallopt":
+            raise AttributeError(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = _NoMallopt
+"""
+
+
+def _fresh_python(script: str) -> list:
+    """The JSON value a script prints last, run in a new interpreter that
+    imports this alphasign."""
+    src = str(Path(alphasign.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_the_heap_policy_goes_through_mallopt(monkeypatch):
+    calls = []
+    monkeypatch.setattr(blas, "_mallopt", lambda: lambda *args: calls.append(args) or 1)
+    assert blas._set_heap_policy()
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+    # a refused value is reported, and the others are still tried
+    calls.clear()
+    monkeypatch.setattr(blas, "_mallopt", lambda: lambda *args: calls.append(args) and 0)
+    assert not blas._set_heap_policy()
+    assert len(calls) == 2
+    monkeypatch.setattr(blas, "_mallopt", lambda: None)
+    assert not blas._set_heap_policy()
+
+
+@pytest.mark.skipif(not blas._heap_policy_set, reason="the C library takes no mallopt policy")
+def test_a_battery_does_not_fault_its_working_set_back_in():
+    # glibc's default trims the freed heap top after each battery, and the
+    # next battery faults it back in: about 600 faults per battery at this size
+    faults = _fresh_python(_PANEL + """
+run_all_tests(sim.panel, sim.factors, knots=2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    run_all_tests(sim.panel, sim.factors, knots=2)
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+""")
+    assert faults / 10 < 50
+
+
+def test_without_mallopt_import_and_a_battery_are_unchanged():
+    heap_policy_set, p_values = _fresh_python(_NO_MALLOPT + _PANEL + """
+print(json.dumps([blas._heap_policy_set,
+                  [r.p_value for r in run_all_tests(sim.panel, sim.factors, knots=2)]]))
+""")
+    sim = dgp.simulate_panel(
+        1, ErrorScenario("t"), dgp.AlphaSpec(), 200, 350, np.random.default_rng(1)
+    )
+    assert heap_policy_set is False
+    assert p_values == [r.p_value for r in stat_tests.run_all_tests(sim.panel, sim.factors, knots=2)]

@@ -162,6 +162,29 @@ def test_a_finite_stack_whose_squared_norm_overflows_is_scored():
     assert np.all(np.isfinite(stacked[:-1]))
 
 
+@pytest.mark.parametrize("windows", [1, 5])
+def test_a_search_takes_each_panels_squared_norm_once(windows, monkeypatch):
+    sim = simulate_panel(
+        1, ErrorScenario("t"), AlphaSpec(), 12, 64, np.random.default_rng(6)
+    )
+    Ys, Fs = _windows(sim.panel, sim.factors, 64 - windows + 1)
+    if windows == 1:
+        Ys, Fs = Ys[0], Fs[0]  # a single panel is a stack of one
+    T, N = Ys.shape[-2:]
+    candidates = range(1, 9)
+    expected = _score_knot_candidates(Ys, Fs, candidates, 3)
+    vdot, shapes = np.vdot, []
+
+    def spy(a, b):
+        shapes.append(np.shape(a))
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", spy)
+    scores = _score_knot_candidates(Ys, Fs, candidates, 3)
+    assert shapes.count((T, N)) == windows  # not once per candidate
+    assert scores == expected
+
+
 def test_stacked_search_picks_each_windows_own_knots(zero_tail_panel):
     # the factor's zero tail makes the usable candidates differ from window
     # to window, down to none, so the stack is rescored window by window
