@@ -10,12 +10,16 @@ downstream probe exactly that surviving component. A twin design with the
 *uncentered* intercept block absorbs the averaged intercept instead and
 supplies the residuals used by variance/trace estimators.
 
-Each design is factorized once, when built, through the uncentered twin,
-whose span contains the centered one's; it keeps orthonormal bases of
-both twins' column spans, so a fit is two projections. The knot search
-scores a candidate from the uncentered twin's basis alone. Both take a
-stack of panels of one length (consecutive rolling windows) and factorize
-its twins in one batched call; a single panel is a stack of one.
+Each design is factorized once, through the uncentered twin, whose span
+contains the centered one's; it keeps orthonormal bases of both twins'
+column spans. A fit is one projection on the uncentered basis and a
+rank-one update, since the two spans differ by one direction. The knot
+search scores a candidate from the uncentered twin's basis alone and
+keeps each panel's best candidate, so the chosen design and its fit
+reuse the search's factorization and projection. The search takes a
+stack of panels of one length (consecutive rolling windows) and
+factorizes its twins in one batched call; a single panel, and a
+design built at a fixed count, is a stack of one.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import ContractError, SingularDesignError
+from .errors import ContractError, DegenerateStatisticError, SingularDesignError
 
 # Reciprocal condition number below which a design is treated as singular.
 RCOND_MIN = 1e-12
@@ -225,17 +229,24 @@ def _name_singular_block(
 @dataclass(frozen=True)
 class DesignMatrix:
     """Sieve design pair for one panel length, factorized once. Its arrays
-    are read-only, so the stored bases cannot go stale.
+    are read-only, so the stored bases cannot go stale. A design the knot
+    search chose is built from the search's own factorization (see
+    `build_design`).
 
     Attributes
     ----------
+    factors : (T, p) array
+        The factor realizations the design was built from (a copy).
     Z : (T, (1+p)L) array
         Centered intercept-basis block followed by p factor blocks. The
         centered block carries one exact linear dependency by construction
         (its columns sum to zero), so Z has column rank (1+p)L - 1; every
         quantity derived from it here depends only on its column span.
+        Assembled from the factors on each access: no statistic reads
+        it, so a design does not hold it.
     Z_tilde : (T, (1+p)L) array
         Same layout with the uncentered intercept-basis block; full rank.
+        Assembled on each access, as Z is.
     omega_T : float
         1' M 1 where M is the annihilator of Z; equals the squared norm of h.
     h : (T,) array
@@ -246,86 +257,108 @@ class DesignMatrix:
         Reciprocal condition numbers of Z (less its built-in null) and Z_tilde.
     """
 
-    Z: np.ndarray
-    Z_tilde: np.ndarray
+    factors: np.ndarray = field(repr=False)
     omega_T: float
     h: np.ndarray
     config: SplineConfig
-    n_factors: int
     Q: np.ndarray = field(repr=False)
     Q_tilde: np.ndarray = field(repr=False)
     rcond: float
     rcond_tilde: float
 
     def __post_init__(self):
-        for arr in (self.Z, self.Z_tilde, self.h, self.Q, self.Q_tilde):
+        for arr in (self.factors, self.h, self.Q, self.Q_tilde):
             arr.flags.writeable = False
 
     @property
+    def Z_tilde(self) -> np.ndarray:
+        Z_tilde = _uncentered_twins(self.factors[None], self.config)[0]
+        Z_tilde.flags.writeable = False
+        return Z_tilde
+
+    @property
+    def Z(self) -> np.ndarray:
+        Z = _uncentered_twins(self.factors[None], self.config)[0]
+        L = self.config.basis_dim
+        Z[:, :L] -= Z[:, :L].mean(axis=0)
+        Z.flags.writeable = False
+        return Z
+
+    @property
+    def n_factors(self) -> int:
+        return self.factors.shape[1]
+
+    @property
     def n_obs(self) -> int:
-        return self.Z.shape[0]
+        return self.Q_tilde.shape[0]
 
     @property
     def n_columns(self) -> int:
-        return self.Z.shape[1]
+        return self.Q_tilde.shape[1]
 
 
 class _Twins(NamedTuple):
     """A stack of W design pairs factorized through the uncentered twins,
-    rank-checked; every array but B_centered has the stack as its leading
-    axis."""
+    rank-checked; every array has the stack as its leading axis."""
 
-    B_centered: np.ndarray  # centered intercept-basis block, shared
-    Z_tilde: np.ndarray
     Q_tilde: np.ndarray
-    rotation: np.ndarray | None  # left singular vectors of Q_tilde' Z
+    R: np.ndarray  # Q_tilde' Z, K x K: the centered twin in Q_tilde's coordinates
     rcond: np.ndarray
     rcond_tilde: np.ndarray
 
+    def take(self, w: int) -> _Twins:
+        """Panel w's factorization as a stack of one, copied out of the
+        stack so that the stack itself can be freed."""
+        return _Twins(*(a[w : w + 1].copy() for a in self))
 
-def _factor_twins(f: np.ndarray, config: SplineConfig, rotate: bool) -> _Twins:
+
+def _uncentered_twins(f: np.ndarray, config: SplineConfig) -> np.ndarray:
+    """Z_tilde = [B, f_1 B, ..., f_p B] for each (T, p) factor block of the
+    (W, T, p) stack f, B the T x L clamped basis."""
+    W, T, p = f.shape
+    L = config.basis_dim
+    B = _clamped_basis(T, config.interior_knots, config.order)
+    Z_tilde = np.empty((W, T, (1 + p) * L))
+    Z_tilde[:, :, :L] = B
+    for j in range(p):
+        np.multiply(f[:, :, j, None], B, out=Z_tilde[:, :, (j + 1) * L : (j + 2) * L])
+    return Z_tilde
+
+
+def _factor_twins(f: np.ndarray, config: SplineConfig) -> _Twins:
     """For each (T, p) factor block of the (W, T, p) stack f, assemble the
-    uncentered twin Z_tilde = [B, f_1 B, ..., f_p B], factorize it as
+    uncentered twin Z_tilde (`_uncentered_twins`), factorize it as
     Q_tilde R_tilde by Householder QR and check the rank of both twins.
-    One batched QR and two batched K x K SVDs serve the whole stack.
+    One batched QR and two batched K x K singular-value calls serve the
+    whole stack.
 
     The clamped basis sums to one, so the centered twin Z, whose intercept
     block is B - 1 m' (m the column means of B), lies in the span of
-    Z_tilde: Z = Q_tilde (Q_tilde' Z). The K x K matrix Q_tilde' Z therefore
-    has the singular values of Z, and its left singular vectors rotate
-    Q_tilde onto Z's span. It is formed as R_tilde less (Q_tilde' 1) m' in
-    the intercept columns, without Z, and its singular vectors are
-    computed only when `rotate` is set (else `rotation` is None); R_tilde
-    has the singular values of Z_tilde. Raises ContractError when
+    Z_tilde: Z = Q_tilde (Q_tilde' Z). The K x K matrix R = Q_tilde' Z
+    therefore has the singular values of Z, and its left singular vectors
+    rotate Q_tilde onto Z's span (see `build_design`). It is formed as
+    R_tilde less (Q_tilde' 1) m' in the intercept columns, without Z;
+    R_tilde has the singular values of Z_tilde. Raises ContractError when
     T < K + 1 and SingularDesignError, naming the first failing block of
     the first failing design in the stack, when either twin is rank
     deficient (Z beyond its built-in dependency).
     """
-    W, T, p = f.shape
+    _, T, p = f.shape
     L = config.basis_dim
     K = (1 + p) * L
     if T < K + 1:
         raise ContractError(
             f"need T >= (1+p)L + 1 = {K + 1} observations, got T={T}"
         )
-    B = _clamped_basis(T, config.interior_knots, config.order)
+    Z_tilde = _uncentered_twins(f, config)
+    B = Z_tilde[0, :, :L]
     mean = B.mean(axis=0)
-    Z_tilde = np.empty((W, T, K))
-    Z_tilde[:, :, :L] = B
-    for j in range(p):
-        np.multiply(f[:, :, j, None], B, out=Z_tilde[:, :, (j + 1) * L : (j + 2) * L])
-    q_tilde, r_tilde = np.linalg.qr(Z_tilde)
-    R = r_tilde.copy()
-    R[:, :, :L] -= q_tilde.sum(axis=1)[:, :, None] * mean
-    if rotate:
-        rotation, s, _ = np.linalg.svd(R)
-    else:
-        rotation, s = None, np.linalg.svd(R, compute_uv=False)
+    q_tilde, R = np.linalg.qr(Z_tilde)
     # Rank contract: Z carries exactly one built-in dependency (see
     # DesignMatrix), Z_tilde none. Anything worse is a genuine singularity.
-    rcond = _effective_rcond(s, structural_nullity=1)
-    rcond_tilde = _effective_rcond(np.linalg.svd(r_tilde, compute_uv=False))
-    B_centered = B - mean
+    rcond_tilde = _effective_rcond(np.linalg.svd(R, compute_uv=False))
+    R[:, :, :L] -= q_tilde.sum(axis=1)[:, :, None] * mean
+    rcond = _effective_rcond(np.linalg.svd(R, compute_uv=False), structural_nullity=1)
     failing = np.flatnonzero((rcond <= RCOND_MIN) | (rcond_tilde <= RCOND_MIN))
     if failing.size:
         w = failing[0]
@@ -334,16 +367,26 @@ def _factor_twins(f: np.ndarray, config: SplineConfig, rotate: bool) -> _Twins:
             raise SingularDesignError(
                 "design matrix is rank deficient beyond the built-in dependency "
                 "of the centered intercept block (first failing prefix: "
-                f"{_name_singular_block([B_centered] + factor_blocks, p, first_block_nullity=1)})"
+                f"{_name_singular_block([B - mean] + factor_blocks, p, first_block_nullity=1)})"
             )
         raise SingularDesignError(
             "uncentered design matrix is rank deficient (first failing "
             f"prefix: {_name_singular_block([B] + factor_blocks, p)})"
         )
-    return _Twins(B_centered, Z_tilde, q_tilde, rotation, rcond, rcond_tilde)
+    return _Twins(q_tilde, R, rcond, rcond_tilde)
 
 
-def build_design(factors, config: SplineConfig) -> DesignMatrix:
+def _project(q: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """q_w' Y_w for each panel of a stack: the (W, K, N) coordinates of the
+    panels in the orthonormal bases q. The knot search and the fit both
+    take them here, so that a fit reusing the search's product equals one
+    that forms it."""
+    return np.swapaxes(q, 1, 2) @ Y
+
+
+def build_design(
+    factors, config: SplineConfig, *, _twins: _Twins | None = None
+) -> DesignMatrix:
     """Assemble and factorize the centered/uncentered design pair.
 
     Parameters
@@ -352,29 +395,78 @@ def build_design(factors, config: SplineConfig) -> DesignMatrix:
         Factor realizations; p = 0 (shape (T, 0)) yields an intercept-only
         design.
     config : SplineConfig
+
+    The uncentered twin is factorized by `_factor_twins` (a stack of one);
+    the centered twin's basis Q is Q_tilde rotated by the left singular
+    vectors of Q_tilde' Z, less the last one, and h = 1 - Q (Q' 1).
+
+    `_twins` is private to the knot search, which has factorized the
+    chosen count's twins on these factors already: a design chosen by the
+    search is built from that stack of one, so only the K x K SVD with
+    vectors, Q and h are new work.
     """
     f = _as_factor_matrix(factors)
     T, p = f.shape
-    twins = _factor_twins(f[None], config, rotate=True)
+    twins = _factor_twins(f[None], config) if _twins is None else _twins
     L = config.basis_dim
     K = (1 + p) * L
     q_tilde = twins.Q_tilde[0]
-    q = q_tilde @ twins.rotation[0][:, : K - 1]
+    rotation = np.linalg.svd(twins.R[0])[0]
+    q = q_tilde @ rotation[:, : K - 1]
     ones = np.ones(T)
     h = ones - q @ (q.T @ ones)
     omega = float(np.clip(h @ h, 0.0, float(T)))
     return DesignMatrix(
-        Z=np.hstack([twins.B_centered, twins.Z_tilde[0, :, L:]]),
-        Z_tilde=twins.Z_tilde[0],
+        factors=f.copy(),
         omega_T=omega,
         h=h,
         config=config,
-        n_factors=p,
         Q=q,
         Q_tilde=q_tilde,
         rcond=float(twins.rcond[0]),
         rcond_tilde=float(twins.rcond_tilde[0]),
     )
+
+
+# A row whose annihilator diagonal 1 - ||Q_t||^2 falls to this has leverage
+# 1: its residual is identically zero.
+_LEVERAGE_GAP = 1e-12
+
+
+def _check_h_norm(hh: float) -> None:
+    """The sign tests normalize by h'h (h'h - 1): raise DegenerateStatisticError
+    unless h'h > 1."""
+    if hh <= 1.0:
+        raise DegenerateStatisticError(
+            f"normalization requires h'h > 1, got h'h = {hh:g}"
+        )
+
+
+def _annihilator_diagonal(design: DesignMatrix) -> np.ndarray:
+    """diag(I - Q Q'), Q the centered twin's basis. Raises
+    DegenerateStatisticError, naming the first such time, when a row has
+    leverage 1."""
+    q = design.Q
+    d = 1.0 - np.einsum("tk,tk->t", q, q)
+    if np.any(d <= _LEVERAGE_GAP):
+        bad = int(np.argmin(d))
+        raise DegenerateStatisticError(
+            f"design leverage is 1 at time {bad + 1}: the residual there "
+            "is identically zero"
+        )
+    return d
+
+
+def _sign_test_refusal(design: DesignMatrix) -> DegenerateStatisticError | None:
+    """The error the sum-type sign test (CSS) raises on this design whatever
+    the panel, or None if it accepts the design: it needs h'h > 1 and no
+    row of leverage 1."""
+    try:
+        _check_h_norm(float(design.h @ design.h))
+        _annihilator_diagonal(design)
+    except DegenerateStatisticError as exc:
+        return exc
+    return None
 
 
 @dataclass(frozen=True)
@@ -385,9 +477,10 @@ class FitResult:
     residuals come from the centered design, residuals_tilde from the
     uncentered twin. Residuals are unique even though the centered
     design's built-in dependency leaves its coefficients identified only
-    up to one null direction. gram_tilde = residuals_tilde residuals_tilde'
-    (T x T) is the only residual gram a battery forms; HDA and CSS both
-    read it.
+    up to one null direction. The twins' spans differ by h alone, so
+    residuals = residuals_tilde + h (h'Y)' / h'h (see `fit_panel`).
+    gram_tilde = residuals_tilde residuals_tilde' (T x T) is the only
+    residual gram a battery forms; HDA and CSS both read it.
     """
 
     residuals: np.ndarray
@@ -406,12 +499,18 @@ class FitResult:
             arr.flags.writeable = False
 
 
-def fit_panel(panel, design: DesignMatrix) -> FitResult:
+def fit_panel(panel, design: DesignMatrix, *, _projection=None) -> FitResult:
     """Regress every asset's return series on the design pair.
 
     No intercept is added: the centered design leaves each asset's
     time-averaged intercept in `residuals`, while `residuals_tilde`
-    absorbs it. Each residual is Y - Q (Q' Y) with the design's stored bases.
+    absorbs it. residuals_tilde is Y - Q_tilde (Q_tilde' Y) with the
+    design's stored basis. The uncentered twin's span is the centered
+    one's plus h, orthogonal to it, so the centered residuals follow by a
+    rank-one update, E = E~ + h (h'Y)' / h'h, with no second projection.
+
+    `_projection` is private to the battery: Q_tilde' Y (K x N) as the knot
+    search formed it on this panel for the design it chose.
     """
     Y = _as_panel(panel)
     if Y.shape[0] != design.n_obs:
@@ -420,16 +519,19 @@ def fit_panel(panel, design: DesignMatrix) -> FitResult:
         )
     if design.rcond <= RCOND_MIN or design.rcond_tilde <= RCOND_MIN:
         raise SingularDesignError("design is too ill conditioned to fit")
-    return FitResult(
-        residuals=_residual(Y, design.Q),
-        residuals_tilde=_residual(Y, design.Q_tilde),
-    )
+    q = design.Q_tilde
+    qy = _project(q[None], Y[None])[0] if _projection is None else _projection
+    resid_tilde = _residual(Y, q, qy)
+    h = design.h
+    resid = np.multiply.outer(h / float(h @ h), h @ Y)
+    resid += resid_tilde
+    return FitResult(residuals=resid, residuals_tilde=resid_tilde)
 
 
-def _residual(v, q):
-    """v - q (q' v) for orthonormal q, written over the fitted values so
-    that a fit allocates one T x N array per residual."""
-    out = q @ (q.T @ v)
+def _residual(v, q, qv):
+    """v - q qv for orthonormal q and qv = q' v, written over the fitted
+    values so that it allocates one T x N array."""
+    out = q @ qv
     return np.subtract(v, out, out=out)
 
 
@@ -460,21 +562,26 @@ def bic_score(panel, factors, config: SplineConfig, *, _norms=None):
 
     `_norms` is private to the knot search, which scores every candidate
     on one stack: the panels' `_squared_norms`, taken once for the search.
+    With it the call returns the W scores, the stack's `_Twins` and its
+    Q'Y, from which the search keeps each panel's best candidate.
     """
     Y, f = _panel_stack(panel, factors)
     W, T, N = Y.shape
     norms = _squared_norms(Y) if _norms is None else _norms
-    q = _factor_twins(f, config, rotate=False).Q_tilde
-    fitted = np.swapaxes(q, 1, 2) @ Y
+    twins = _factor_twins(f, config)
+    q = twins.Q_tilde
+    fitted = _project(q, Y)
     penalty = bic_penalty(N, T, f.shape[2], config)
     scores = np.empty(W)
     for w, yy in enumerate(norms):
         rss = yy - float(np.vdot(fitted[w], fitted[w]))
         if rss < _RSS_FALLBACK * yy:
-            resid = _residual(Y[w], q[w])
+            resid = _residual(Y[w], q[w], fitted[w])
             rss = float(np.vdot(resid, resid))
         # exact interpolation pushes the criterion to -inf, so it wins
         scores[w] = math.log(rss / (T * N)) + penalty if rss > 0.0 else -math.inf
+    if _norms is not None:
+        return scores, twins, fitted
     return scores if np.ndim(panel) == 3 else float(scores[0])
 
 
@@ -509,24 +616,72 @@ _UNUSABLE = (SingularDesignError, ContractError)
 
 
 def _score_or_error(panel, factors, config: SplineConfig, norms):
-    """bic_score of a (1, T, N) stack, or the error that makes the
-    candidate unusable."""
+    """The search's `bic_score` of a (1, T, N) stack, or the error that
+    makes the candidate unusable."""
     try:
-        return bic_score(panel, factors, config, _norms=norms)[0]
+        return bic_score(panel, factors, config, _norms=norms)
     except _UNUSABLE as exc:
         return exc
 
 
-@one_blas_thread()
-def _score_knot_candidates(panel, factors, candidates, order: int) -> list[dict]:
-    """Score each distinct candidate knot count on a panel, or on every
-    panel of a (W, T, N) stack with its (W, T, p) factors.
+class _Best(NamedTuple):
+    """A panel's best candidate so far in the knot search: its score,
+    its twins' factorization as a stack of one, and the panel's Q_tilde' Y."""
 
-    Returns one {n: score, or the candidate's error when it is unusable}
-    dict per panel, keyed in ascending n (a single panel is a stack of
-    one). Each candidate is scored on the whole stack by one `bic_score`
-    call; a candidate unusable on some panel is rescored panel by panel.
-    Every call reads the panels' squared norms, taken once.
+    score: float
+    config: SplineConfig
+    twins: _Twins
+    projection: np.ndarray
+
+
+class _Choice(NamedTuple):
+    """One panel's outcome of the knot search: its table of {n: score, or
+    the error that makes candidate n unusable}, keyed in ascending n; its
+    best candidate (None when no candidate is usable); and its factors.
+    `design` builds the chosen design."""
+
+    scores: dict
+    best: _Best | None
+    factors: np.ndarray
+
+    @one_blas_thread()
+    def design(self) -> tuple[DesignMatrix, np.ndarray | None]:
+        """The chosen design, and the panel's Q_tilde' Y in its basis as the
+        search formed it (None when the design was built anew). OpenBLAS
+        runs at one thread for the call, as in the search.
+
+        The best candidate's design is built from the search's own
+        factorization. It must be one the sum-type sign test accepts
+        (`_sign_test_refusal`); if not, its count is marked unusable in
+        `scores` with that test's error, and the next count in score order
+        is built anew (this is rare), until a design is accepted. Raises
+        SingularDesignError, listing each candidate's error, when no count
+        is left.
+        """
+        if self.best is None:
+            _best_knots(self.scores)  # raises, listing each candidate's error
+        config = self.best.config
+        design = build_design(self.factors, config, _twins=self.best.twins)
+        projection = self.best.projection
+        while (refusal := _sign_test_refusal(design)) is not None:
+            self.scores[design.config.interior_knots] = refusal
+            n = _best_knots(self.scores)
+            design, projection = build_design(self.factors, SplineConfig(n, config.order)), None
+        return design, projection
+
+
+@one_blas_thread()
+def _choose_designs(panel, factors, candidates, order: int) -> list[_Choice]:
+    """Score each distinct candidate knot count on a panel, or on every
+    panel of a (W, T, N) stack with its (W, T, p) factors; returns one
+    `_Choice` per panel (a single panel is a stack of one), whose `design`
+    builds the panel's chosen design.
+
+    Each candidate is scored on the whole stack by one `bic_score` call; a
+    candidate unusable on some panel is rescored panel by panel. Every
+    call reads the panels' squared norms, taken once. For each panel the
+    search keeps its best candidate's factorization and Q_tilde' Y, not
+    every candidate's; ties go to the smaller count, as in `_best_knots`.
     Candidates with too few observations or singular designs are
     unusable. Raises ContractError if the candidate set is empty or holds
     a count that is not a non-negative integer, the order is not an
@@ -541,25 +696,53 @@ def _score_knot_candidates(panel, factors, candidates, order: int) -> list[dict]
     # observations or a singular design).
     configs = [SplineConfig(n, order) for n in cand]
     Y, f = _panel_stack(panel, factors)
+    W = Y.shape[0]
     norms = _squared_norms(Y)
-    scores = [{} for _ in range(Y.shape[0])]
+    scores = [{} for _ in range(W)]
+    best: list[_Best | None] = [None] * W
     for config in configs:
+        n = config.interior_knots
         try:
-            stacked = bic_score(Y, f, config, _norms=norms).tolist()
+            scored = [(0, bic_score(Y, f, config, _norms=norms))]
         except _UNUSABLE as exc:
-            stacked = [exc] if len(scores) == 1 else [
+            parts = [exc] if W == 1 else [
                 _score_or_error(Y[w : w + 1], f[w : w + 1], config, norms[w : w + 1])
-                for w in range(len(scores))
+                for w in range(W)
             ]
-        for row, score in zip(scores, stacked):
-            row[config.interior_knots] = score
-    return scores
+            scored = []
+            for w, part in enumerate(parts):
+                if isinstance(part, Exception):
+                    scores[w][n] = part
+                else:
+                    scored.append((w, part))
+        for first, (stacked, twins, projection) in scored:
+            for i, score in enumerate(stacked.tolist()):
+                w = first + i
+                scores[w][n] = score
+                # strictly less: a tie keeps the smaller count
+                if best[w] is None or score < best[w].score:
+                    best[w] = _Best(score, config, twins.take(i), projection[i].copy())
+    return [_Choice(scores[w], best[w], f[w]) for w in range(W)]
+
+
+def _score_knot_candidates(panel, factors, candidates, order: int) -> list[dict]:
+    """Each panel's table of scores from `_choose_designs`, where a count
+    whose design the sum-type sign test refuses is marked unusable, as
+    `_Choice.design` marks it."""
+    tables = []
+    for choice in _choose_designs(panel, factors, candidates, order):
+        try:
+            choice.design()
+        except SingularDesignError:
+            pass  # no usable count: every entry of the table is an error
+        tables.append(choice.scores)
+    return tables
 
 
 def _best_knots(scores: dict) -> int:
-    """The knot count of least score in one panel's `_score_knot_candidates`
-    dict, ties to the smaller count. Raises SingularDesignError, listing
-    each candidate's error, when no candidate is usable."""
+    """The knot count of least score in one panel's table of scores, ties
+    to the smaller count. Raises SingularDesignError, listing each
+    candidate's error, when no candidate is usable."""
     usable = {n: s for n, s in scores.items() if not isinstance(s, Exception)}
     if not usable:
         raise SingularDesignError(
@@ -569,14 +752,24 @@ def _best_knots(scores: dict) -> int:
     return min(usable, key=usable.__getitem__)
 
 
-def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
+def select_knots_bic(
+    panel, factors, candidates=None, order: int = 3, *, _design_out=None
+) -> int:
     """Pick the interior-knot count minimizing the information criterion.
 
-    Candidates with too few observations or singular designs are skipped;
-    ties break toward the smaller knot count. Raises ContractError on
-    mismatched or non-finite inputs and SingularDesignError if every
-    candidate is unusable.
+    Candidates with too few observations or singular designs are skipped,
+    and so is a count whose design the sum-type sign test refuses (h'h <= 1
+    or a row of leverage 1); ties break toward the smaller knot count.
+    Raises ContractError on mismatched or non-finite inputs and
+    SingularDesignError if every candidate is unusable.
+
+    `_design_out` is private to `run_all_tests`: a list that receives the
+    chosen design and the panel's Q_tilde' Y (`_Choice.design`), which the
+    battery then fits without factorizing the design again.
     """
     if candidates is None:
         candidates = default_knot_candidates(np.asarray(panel).shape[0])
-    return _best_knots(_score_knot_candidates(panel, factors, candidates, order)[0])
+    chosen = _choose_designs(panel, factors, candidates, order)[0].design()
+    if _design_out is not None:
+        _design_out.append(chosen)
+    return chosen[0].config.interior_knots

@@ -19,17 +19,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import (
-    _best_knots,
     _check_knots,
+    _choose_designs,
     _is_count,
     _panel_and_factors,
-    _score_knot_candidates,
     default_knot_candidates,
     select_knots_bic,
 )
 from .blas import one_blas_thread
 from .dgp import AlphaSpec, ErrorScenario, simulate_panel
-from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError, SingularDesignError
+from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError
 from .pool import _map_in_order, _worker_count
 from .stat_tests import TEST_NAMES, TestResult, run_all_tests
 
@@ -199,48 +198,44 @@ _BLOCKS_PER_WORKER = 4
 _KNOT_CHUNK = 4
 
 
-def _chunk_knots(Ys, Fs, order: int) -> list:
-    """Each window's knot count from one stacked search over the windows
-    Ys, Fs, or "auto" for a window the search cannot serve: run alone, it
-    then raises its own error under its own stage."""
+def _chunk_choices(Ys, Fs, order: int) -> list:
+    """Each window's `basis._Choice` from one stacked search over the
+    windows Ys, Fs, or None for every window if the search itself fails:
+    run alone, each window then raises its own error under its own stage.
+    A window with no usable count raises from its `_Choice`, with the
+    error its own search raises."""
     try:
-        rows = _score_knot_candidates(Ys, Fs, default_knot_candidates(Ys.shape[1]), order)
+        return _choose_designs(Ys, Fs, default_knot_candidates(Ys.shape[1]), order)
     except (AlphaSignError, np.linalg.LinAlgError):
-        return ["auto"] * Ys.shape[0]
-    chosen = []
-    for scores in rows:
-        try:
-            chosen.append(_best_knots(scores))
-        except SingularDesignError:
-            chosen.append("auto")
-    return chosen
+        return [None] * Ys.shape[0]
 
 
 def _window_block_pvalues(args) -> np.ndarray:
     """P-values of the consecutive windows whose rows Y, F hold, one row per
     window and one column per test. first is the 1-based number of the
     block's first window; an error names the window and its panel rows.
-    With knots "auto", the knots are selected in stacked chunks of
-    _KNOT_CHUNK windows before the windows' batteries run."""
+    With knots "auto", the designs of each chunk of _KNOT_CHUNK windows
+    are chosen by one stacked search, and the chunk's batteries start from
+    them before the next chunk is searched."""
     Y, F, first, window, tests, knots, order = args
     Ys = sliding_window_view(Y, window, axis=0).transpose(0, 2, 1)
     Fs = sliding_window_view(F, window, axis=0).transpose(0, 2, 1)
     n_windows = Ys.shape[0]
-    if knots == "auto":
-        chosen = []
-        for c in range(0, n_windows, _KNOT_CHUNK):
-            chosen += _chunk_knots(Ys[c : c + _KNOT_CHUNK], Fs[c : c + _KNOT_CHUNK], order)
-    else:
-        chosen = [knots] * n_windows
     out = np.empty((n_windows, len(tests)))
-    for k in range(n_windows):
-        try:
-            results = run_all_tests(Ys[k], Fs[k], knots=chosen[k], order=order)
-        except (AlphaSignError, np.linalg.LinAlgError) as exc:
-            w = first + k
-            raise type(exc)(f"window {w} (rows {w}-{w + window - 1}): {exc}") from exc
-        by_name = {r.name: r.p_value for r in results}
-        out[k] = [by_name[t] for t in tests]
+    for c in range(0, n_windows, _KNOT_CHUNK):
+        stop = min(c + _KNOT_CHUNK, n_windows)
+        if knots == "auto":
+            chosen = _chunk_choices(Ys[c:stop], Fs[c:stop], order)
+        else:
+            chosen = [None] * (stop - c)
+        for k, choice in zip(range(c, stop), chosen):
+            try:
+                results = run_all_tests(Ys[k], Fs[k], knots=knots, order=order, _chosen=choice)
+            except (AlphaSignError, np.linalg.LinAlgError) as exc:
+                w = first + k
+                raise type(exc)(f"window {w} (rows {w}-{w + window - 1}): {exc}") from exc
+            by_name = {r.name: r.p_value for r in results}
+            out[k] = [by_name[t] for t in tests]
     return out
 
 
@@ -266,10 +261,11 @@ def rolling_windows(
     workers defaults to the core count. Every battery runs at one BLAS
     thread, so the p-values do not depend on the worker count. With
     knots "auto", each block selects its windows' knots in stacked chunks
-    of consecutive windows (`basis._score_knot_candidates`), which pick
-    what `select_knots_bic` picks on each window alone. window must be an
-    integer in [2, T]. A window's error is re-raised with its window
-    number and rows prefixed.
+    of consecutive windows (`basis._choose_designs`), which pick what
+    `select_knots_bic` picks on each window alone, and each window's
+    battery starts from the factorization its search kept. window must
+    be an integer in [2, T]. A window's error is re-raised with its
+    window number and rows prefixed.
     """
     Y, F = _panel_and_factors(panel, factors)
     T = Y.shape[0]

@@ -19,9 +19,12 @@ a matrix-vector product on those two arrays:
     sum_t u_t   = (E'a - d sum(a)) / sqrt(scale),              a = 1/r
     sum_t u_t^2 = w o ((E o E)'b - 2 d o E'b + d^2 sum(b)),    b = 1/r^2
 
-so a round writes no T x N array. Rows on or near the location, where the
-expansion of r^2 cancels, are recomputed directly. The standardized row
-norms r at the returned location and scale are kept on the estimate, and
+so a round writes no T x N array; E'a and E'b come from one product with
+the two-row left factor [a b]'. Rows on or near the location, where the
+expansion of r^2 cancels, are recomputed directly; a round in which no
+row is near skips that step (its selection, the rows' coordinates and
+their signs), which changes nothing. The standardized row norms r at the
+returned location and scale are kept on the estimate, and
 `moment_estimates` reads them from there.
 """
 
@@ -98,8 +101,8 @@ def spatial_median_scale(
     below an absolute floor aborts with a degenerate-scale error (a
     constant residual column triggers this immediately).
 
-    Each round is five matrix-vector products on the centered residuals
-    and their squares, formed once per call (see the module docstring).
+    Each round is four products on the centered residuals and their
+    squares, formed once per call (see the module docstring).
     """
     if isinstance(tol, bool) or not (
         isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0
@@ -134,23 +137,30 @@ def spatial_median_scale(
         lift = float(delta @ dw)
         base = E2 @ w
         r2 = base - 2.0 * (E @ dw) + lift
-        near = np.flatnonzero(r2 <= NEAR_ROW_SHARE * (base + lift))
-        X_near = (E[near] - delta) / root
-        r2[near] = np.einsum("kn,kn->k", X_near, X_near)
-        norms = np.sqrt(r2)
-        nz = norms > 0.0
-        if not np.any(nz):
-            raise DegenerateScaleError("all standardized residual rows are zero")
-        inv = _inverse_norms(norms)
-        a = inv.copy()
-        a[near] = 0.0  # near rows enter below, from their own coordinates
+        is_near = r2 <= NEAR_ROW_SHARE * (base + lift)
+        near = np.flatnonzero(is_near) if is_near.any() else None
+        if near is None:  # every r^2 is positive, so every row counts
+            norms = np.sqrt(r2)
+            inv = a = 1.0 / norms
+            n_rows = T
+        else:
+            X_near = (E[near] - delta) / root
+            r2[near] = np.einsum("kn,kn->k", X_near, X_near)
+            norms = np.sqrt(r2)
+            n_rows = int(np.count_nonzero(norms > 0.0))
+            if n_rows == 0:
+                raise DegenerateScaleError("all standardized residual rows are zero")
+            inv = _inverse_norms(norms)
+            a = inv.copy()
+            a[near] = 0.0  # near rows enter below, from their own coordinates
         b = a * a
-        u_sum = (E.T @ a - delta * a.sum()) / root
-        u2_sum = w * (E2.T @ b - 2.0 * delta * (E.T @ b) + delta * delta * b.sum())
-        U_near = X_near * inv[near, None]
-        u_sum += U_near.sum(axis=0)
-        u2_sum += (U_near * U_near).sum(axis=0)
-        n_rows = int(np.count_nonzero(nz))
+        Ea, Eb = np.stack((a, b)) @ E
+        u_sum = (Ea - delta * a.sum()) / root
+        u2_sum = w * (E2.T @ b - 2.0 * delta * Eb + delta * delta * b.sum())
+        if near is not None:
+            U_near = X_near * inv[near, None]
+            u_sum += U_near.sum(axis=0)
+            u2_sum += (U_near * U_near).sum(axis=0)
         mean_u = u_sum / n_rows
         mean_u2 = u2_sum / n_rows
         eq_residual = max(

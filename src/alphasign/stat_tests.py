@@ -20,7 +20,10 @@ from .basis import (
     DesignMatrix,
     FitResult,
     SplineConfig,
+    _annihilator_diagonal,
+    _check_h_norm,
     _check_knots,
+    _Choice,
     _panel_and_factors,
     build_design,
     fit_panel,
@@ -186,10 +189,7 @@ def trace_sigma_u_sq(gram_tilde, h) -> float:
     if hv.shape != (T,):
         raise ContractError("h must have one entry per cross section")
     hh = float(hv @ hv)
-    if hh <= 1.0:
-        raise DegenerateStatisticError(
-            f"normalization requires h'h > 1, got h'h = {hh:g}"
-        )
+    _check_h_norm(hh)
     inv_norms = _inverse_norms(np.sqrt(np.diag(G)))
     W = G * inv_norms[:, None]
     W *= inv_norms
@@ -214,18 +214,11 @@ def projection_sign_bias(design: DesignMatrix) -> float:
     With d = diag(M) and g = h / sqrt(d), the all-pairs sum is
     g'Mg = g'g - ||Q'g||^2 and its diagonal is h'h; no T x T matrix is formed.
     """
-    q = design.Q
-    d = 1.0 - np.einsum("tk,tk->t", q, q)
-    if np.any(d <= 1e-12):
-        bad = int(np.argmin(d))
-        raise DegenerateStatisticError(
-            f"design leverage is 1 at time {bad + 1}: the residual there "
-            "is identically zero"
-        )
+    d = _annihilator_diagonal(design)
     hv = design.h
     hh = float(hv @ hv)
     g = hv / np.sqrt(d)
-    qg = q.T @ g
+    qg = design.Q.T @ g
     return (float(g @ g) - float(qg @ qg) - hh) / hh
 
 
@@ -393,6 +386,8 @@ def run_all_tests(
     order: int = 3,
     tol: float = 1e-8,
     max_iter: int = 200,
+    *,
+    _chosen: _Choice | None = None,
 ) -> list[TestResult]:
     """Run the full battery on one panel and return all six results.
 
@@ -400,10 +395,17 @@ def run_all_tests(
     once on the centered-design residuals, and every statistic reuses
     those shared pieces. knots is either a fixed non-negative interior-knot
     count or "auto" for information-criterion selection over the default
-    candidates; anything else raises ContractError. MNT's residual dof
-    uses the factor count p. Errors from any stage are re-raised with the
-    stage name prefixed. OpenBLAS runs at one thread for the call (see
+    candidates; anything else raises ContractError. With "auto" the design
+    is the one the knot search chose, built from the search's own
+    factorization, and the fit reuses the search's Q_tilde' Y; it equals
+    the design and fit at the chosen count. MNT's residual dof uses the
+    factor count p. Errors from any stage are re-raised with the stage
+    name prefixed. OpenBLAS runs at one thread for the call (see
     `alphasign.blas`).
+
+    `_chosen` is private to `rolling_windows`: with knots "auto", this
+    panel's `basis._Choice` from a knot search run on a stack of windows,
+    which then stands in for the search here.
     """
     Y, F = _panel_and_factors(panel, factors)
     knots = _check_knots(knots)
@@ -416,13 +418,19 @@ def run_all_tests(
         except AlphaSignError as exc:
             raise type(exc)(f"{name}: {exc}") from exc
 
-    if knots == "auto":
-        knots = _stage(
+    if knots == "auto" and _chosen is not None:
+        design, projection = _stage("knot-selection", _chosen.design)
+    elif knots == "auto":
+        chosen = []
+        _stage(
             "knot-selection",
-            lambda: select_knots_bic(Y, F, order=order),
+            lambda: select_knots_bic(Y, F, order=order, _design_out=chosen),
         )
-    design = _stage("design", lambda: build_design(F, SplineConfig(knots, order)))
-    fit = _stage("fit", lambda: fit_panel(Y, design))
+        [(design, projection)] = chosen
+    else:
+        design = _stage("design", lambda: build_design(F, SplineConfig(knots, order)))
+        projection = None
+    fit = _stage("fit", lambda: fit_panel(Y, design, _projection=projection))
     loc = _stage(
         "spatial-median",
         lambda: spatial_median_scale(fit.residuals, tol=tol, max_iter=max_iter),

@@ -65,10 +65,23 @@ def zero_tail_panel():
     """A 70-row panel (N=3, one factor) whose factor is zero on rows 46-70
     (1-based). Its 40-row windows hold fewer and fewer non-zero factor
     rows, so fewer knot candidates are usable: all 7 in windows 1-10, only
-    n = 1 in windows 20-25 and none from window 26 on. The batteries of
-    windows 1-24 run; in window 25 the n = 1 design is usable but has
-    leverage 1 at its last non-zero factor row, which CSS refuses."""
+    n = 1 in windows 20-24 and none from window 25 on. The batteries of
+    windows 1-24 run. Window 25 fails in knot selection: its n = 1 design
+    is factorizable but has leverage 1 at its last non-zero factor row,
+    which the sum-type sign test refuses, so the search cannot use it."""
     sim = simulate_panel(1, ErrorScenario("normal"), AlphaSpec(), 3, 70, np.random.default_rng(5))
+    F = sim.factors.copy()
+    F[45:] = 0.0
+    return sim.panel, F
+
+
+@pytest.fixture(scope="session")
+def refused_count_panel():
+    """The zero-tail construction at N = 8: a 70-row panel whose factor is
+    zero on rows 46-70. In its 40-row windows 9, 10 and 11 the best-scored
+    knot count (7, 7 and 6) has a design the sum-type sign test refuses,
+    while counts 1-6, 1-6 and 1-5 run."""
+    sim = simulate_panel(1, ErrorScenario("normal"), AlphaSpec(), 8, 70, np.random.default_rng(5))
     F = sim.factors.copy()
     F[45:] = 0.0
     return sim.panel, F

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from alphasign.basis import select_knots_bic
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, DegenerateScaleError, SingularDesignError
 from alphasign.harness import (
@@ -520,6 +521,17 @@ def test_stacked_knot_search_serves_windows_with_different_usable_candidates(
     for w in range(24):
         direct = run_all_tests(Y[w : w + 40], F[w : w + 40], knots="auto")
         assert list(rolled.p_values[w]) == [r.p_value for r in direct]
+
+
+def test_rolling_windows_equal_batteries_at_their_chosen_knots(refused_count_panel):
+    # windows 9-11 share a chunk of the stacked search with window 12, and
+    # their best-scored counts have designs the sum-type sign test refuses
+    Y, F = refused_count_panel
+    rolled = rolling_windows(Y[:52], F[:52], window=40, workers=1)
+    for w in range(13):
+        Yw, Fw = Y[w : w + 40], F[w : w + 40]
+        fixed = run_all_tests(Yw, Fw, knots=select_knots_bic(Yw, Fw))
+        assert list(rolled.p_values[w]) == [r.p_value for r in fixed]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -20,7 +20,8 @@ from alphasign.basis import (
     select_knots_bic,
 )
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
-from alphasign.errors import ContractError, SingularDesignError
+from alphasign.errors import ContractError, DegenerateStatisticError, SingularDesignError
+from alphasign.stat_tests import run_all_tests
 
 
 def _reference_bic_score(panel, factors, config):
@@ -212,3 +213,35 @@ def test_stacked_search_picks_each_windows_own_knots(zero_tail_panel):
         else:
             assert _best_knots(scores) == expected
     assert {(1, 2, 3, 4, 5, 6, 7), (1,), ()} <= usable_sets and len(usable_sets) >= 5
+
+
+@pytest.mark.parametrize(
+    "window, refused, chosen, runs",
+    [(9, 7, 5, range(1, 7)), (10, 7, 6, range(1, 7)), (11, 6, 5, range(1, 6))],
+)
+def test_a_count_the_sign_test_refuses_is_not_chosen(
+    refused_count_panel, window, refused, chosen, runs
+):
+    Y, F = refused_count_panel
+    Yw, Fw = Y[window - 1 : window + 39], F[window - 1 : window + 39]
+    with pytest.raises(DegenerateStatisticError, match="^CSS: "):
+        run_all_tests(Yw, Fw, knots=refused)
+    for n in runs:
+        run_all_tests(Yw, Fw, knots=n)
+    scores = _score_knot_candidates(Yw, Fw, default_knot_candidates(40), 3)[0]
+    # the refused count scored best among the counts whose designs exist;
+    # the search marks it unusable with the sign test's own error
+    assert isinstance(scores[refused], DegenerateStatisticError)
+    assert _best_knots(scores) == select_knots_bic(Yw, Fw) == chosen
+    knotted = {r.name: r.p_value for r in run_all_tests(Yw, Fw, knots=chosen)}
+    assert {r.name: r.p_value for r in run_all_tests(Yw, Fw)} == knotted
+
+
+def test_a_window_whose_only_usable_count_is_refused_fails_in_knot_selection(zero_tail_panel):
+    # window 25's n = 1 design has leverage 1 at its last non-zero factor row
+    Y, F = zero_tail_panel
+    with pytest.raises(SingularDesignError) as info:
+        run_all_tests(Y[24:64], F[24:64])
+    assert str(info.value).startswith(
+        "knot-selection: no knot candidate produced a usable design: n=1: design leverage is 1"
+    )

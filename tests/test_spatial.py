@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from alphasign import spatial
 from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
 from alphasign.spatial import SpatialLocation, moment_estimates, spatial_median_scale
 
@@ -101,14 +102,18 @@ def test_far_shift_moves_the_location_by_the_shift(small_fit):
     assert np.allclose(shifted.scale_diag, base.scale_diag, rtol=1e-6)
 
 
-def test_row_on_the_location_drops_out():
+def _panel_with_a_row_on_the_location():
     # rows x_k and -c_k x_k have opposite signs about the origin for any
     # diagonal scale, so the location is the zero row; the column means
     # start the iteration away from it
     rng = np.random.default_rng(8)
     X = rng.standard_normal((12, 3))
     c = rng.uniform(0.5, 3.0, (12, 1))
-    E = np.vstack([X, -c * X, np.zeros((1, 3))])
+    return np.vstack([X, -c * X, np.zeros((1, 3))])
+
+
+def test_row_on_the_location_drops_out():
+    E = _panel_with_a_row_on_the_location()
     assert np.max(np.abs(E.mean(axis=0))) > 0.05
     loc = spatial_median_scale(E)
     assert loc.converged
@@ -119,6 +124,24 @@ def test_row_on_the_location_drops_out():
     N = E.shape[1]
     assert float(np.linalg.norm(U.mean(axis=0))) <= 1e-8
     assert float(N * np.max(np.abs((U * U).mean(axis=0) - 1.0 / N))) <= 1e-8
+
+
+def test_a_round_takes_the_near_row_path_only_when_a_row_is_near(small_fit, monkeypatch):
+    # the near rows' inverse norms are the only call to _inverse_norms; a
+    # round with no near row skips that machinery, which is exact
+    calls = []
+    inverse_norms = spatial._inverse_norms
+
+    def spy(norms):
+        calls.append(norms.shape)
+        return inverse_norms(norms)
+
+    monkeypatch.setattr(spatial, "_inverse_norms", spy)
+    assert spatial_median_scale(small_fit.residuals).converged
+    assert calls == []
+    loc = spatial_median_scale(_panel_with_a_row_on_the_location())
+    assert loc.converged and loc.norms[-1] == 0.0
+    assert calls
 
 
 def test_row_signs_match_reference_exactly(small_fit, row_signs):

@@ -19,6 +19,7 @@ from alphasign.basis import (
     make_knots,
     select_knots_bic,
 )
+from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, SingularDesignError
 
 
@@ -178,6 +179,25 @@ def test_fit_matches_brute_force_normal_equations():
         for Z, resid in ((design.Z, fit.residuals), (design.Z_tilde, fit.residuals_tilde)):
             coef = np.linalg.pinv(Z.T @ Z) @ (Z.T @ Y)
             assert np.max(np.abs(Y - Z @ coef - resid)) <= 1e-8
+
+
+@pytest.mark.parametrize("example", [1, 2, 3, "intercept only"])
+def test_rank_one_residuals_match_the_projection_oracle(example):
+    # the centered residuals come from the uncentered ones by the rank-one
+    # update E = E~ + h (h'Y)' / h'h; the oracle projects Y on Q directly
+    ex = 1 if example == "intercept only" else example
+    sim = simulate_panel(ex, ErrorScenario("t"), AlphaSpec(), 20, 120, np.random.default_rng(11))
+    F = sim.factors[:, :0] if example == "intercept only" else sim.factors
+    design = build_design(F, SplineConfig(3, 3))
+    Y = sim.panel
+    fit = fit_panel(Y, design)
+    for q, resid in ((design.Q, fit.residuals), (design.Q_tilde, fit.residuals_tilde)):
+        oracle = Y - q @ (q.T @ Y)
+        assert np.max(np.abs(resid - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    h = design.h
+    assert np.max(np.abs(h @ fit.residuals_tilde)) <= 1e-12 * np.linalg.norm(h) * np.max(
+        np.linalg.norm(fit.residuals_tilde, axis=0)
+    )
 
 
 def test_fit_residuals_orthogonal_to_design(small_design, small_fit):

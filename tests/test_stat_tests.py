@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import orth
 
 from alphasign import cli, panels
-from alphasign.basis import FitResult, SplineConfig, build_design, fit_panel
+from alphasign.basis import FitResult, SplineConfig, build_design, fit_panel, select_knots_bic
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
 from alphasign.spatial import MomentEstimates, SpatialLocation
@@ -466,6 +466,27 @@ def test_golden_p_values(golden_sim, knots):
     got = {r.name: r.p_value for r in results}
     for name, expected in GOLDEN_P_VALUES[knots].items():
         assert got[name] == pytest.approx(expected, abs=1e-12), name
+
+
+def _outcomes(results):
+    return [(r.name, r.statistic, r.p_value) for r in results]
+
+
+@pytest.mark.parametrize("example", ["golden", 2, 3])
+def test_auto_equals_the_battery_at_the_chosen_knots_bit_for_bit(golden_sim, example):
+    # the auto battery reuses the knot search's factorization and its Q~'Y;
+    # a fixed-knot battery factorizes the chosen count's design itself
+    if example == "golden":
+        Y, F = golden_sim.panel, golden_sim.factors
+    else:
+        sim = simulate_panel(
+            example, ErrorScenario("t"), AlphaSpec(), 30, 150, np.random.default_rng(example)
+        )
+        Y, F = sim.panel, sim.factors
+    knots = select_knots_bic(Y, F)
+    assert _outcomes(run_all_tests(Y, F, knots="auto")) == _outcomes(
+        run_all_tests(Y, F, knots=knots)
+    )
 
 
 def test_golden_projection_bias(golden_sim):
