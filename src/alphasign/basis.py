@@ -11,12 +11,14 @@ downstream probe exactly that surviving component. A twin design with the
 supplies the residuals used by variance/trace estimators.
 
 Each design is factorized once, through the uncentered twin, whose span
-contains the centered one's; it keeps orthonormal bases of both twins'
-column spans. A fit is one projection on the uncentered basis and a
-rank-one update, since the two spans differ by one direction. The knot
-search scores a candidate from the uncentered twin's basis alone and
-keeps each panel's best candidate, so the chosen design and its fit
-reuse the search's factorization and projection. The search takes a
+contains the centered one's; it keeps that twin's orthonormal basis
+alone. The two spans differ by one direction, the annihilated ones
+vector h, which one K x K solve gives, so a fit is one projection on
+the basis and a rank-one update, and the centered twin's annihilator is
+read off the basis and h. The knot search scores a candidate from the
+uncentered twin's basis alone and keeps each panel's best candidate, so
+the chosen design and its fit reuse the search's factorization and
+projection. The search takes a
 stack of panels of one length (consecutive rolling windows) and
 factorizes its twins in one batched call; a single panel, and a
 design built at a fixed count, is a stack of one.
@@ -251,23 +253,21 @@ class DesignMatrix:
         1' M 1 where M is the annihilator of Z; equals the squared norm of h.
     h : (T,) array
         Annihilated ones vector M 1. Under a fully centered design h = 1.
-    Q, Q_tilde : (T, (1+p)L - 1) and (T, (1+p)L) arrays
-        Orthonormal bases of the column spans of Z (at its rank) and Z_tilde.
-    rcond, rcond_tilde : float
-        Reciprocal condition numbers of Z (less its built-in null) and Z_tilde.
+    Q_tilde : (T, (1+p)L) array
+        Orthonormal basis of the column span of Z_tilde, the design's only
+        basis. Z's span is Q_tilde's less the direction h, so every
+        quantity of Z's annihilator M follows from Q_tilde and h:
+        M = I - Q_tilde Q_tilde' + h h' / h'h.
     """
 
     factors: np.ndarray = field(repr=False)
     omega_T: float
     h: np.ndarray
     config: SplineConfig
-    Q: np.ndarray = field(repr=False)
     Q_tilde: np.ndarray = field(repr=False)
-    rcond: float
-    rcond_tilde: float
 
     def __post_init__(self):
-        for arr in (self.factors, self.h, self.Q, self.Q_tilde):
+        for arr in (self.factors, self.h, self.Q_tilde):
             arr.flags.writeable = False
 
     @property
@@ -299,12 +299,11 @@ class DesignMatrix:
 
 class _Twins(NamedTuple):
     """A stack of W design pairs factorized through the uncentered twins,
-    rank-checked; every array has the stack as its leading axis."""
+    Z_tilde = Q_tilde R_tilde, rank-checked; both arrays have the stack as
+    their leading axis."""
 
     Q_tilde: np.ndarray
-    R: np.ndarray  # Q_tilde' Z, K x K: the centered twin in Q_tilde's coordinates
-    rcond: np.ndarray
-    rcond_tilde: np.ndarray
+    R_tilde: np.ndarray  # K x K upper triangular
 
     def take(self, w: int) -> _Twins:
         """Panel w's factorization as a stack of one, copied out of the
@@ -334,14 +333,13 @@ def _factor_twins(f: np.ndarray, config: SplineConfig) -> _Twins:
 
     The clamped basis sums to one, so the centered twin Z, whose intercept
     block is B - 1 m' (m the column means of B), lies in the span of
-    Z_tilde: Z = Q_tilde (Q_tilde' Z). The K x K matrix R = Q_tilde' Z
-    therefore has the singular values of Z, and its left singular vectors
-    rotate Q_tilde onto Z's span (see `build_design`). It is formed as
-    R_tilde less (Q_tilde' 1) m' in the intercept columns, without Z;
-    R_tilde has the singular values of Z_tilde. Raises ContractError when
-    T < K + 1 and SingularDesignError, naming the first failing block of
-    the first failing design in the stack, when either twin is rank
-    deficient (Z beyond its built-in dependency).
+    Z_tilde: Z = Q_tilde (Q_tilde' Z). The K x K matrix Q_tilde' Z
+    therefore has the singular values of Z. It is formed, for the rank
+    check only, as R_tilde less (Q_tilde' 1) m' in the intercept columns,
+    without Z; R_tilde has the singular values of Z_tilde. Raises
+    ContractError when T < K + 1 and SingularDesignError, naming the first
+    failing block of the first failing design in the stack, when either
+    twin is rank deficient (Z beyond its built-in dependency).
     """
     _, T, p = f.shape
     L = config.basis_dim
@@ -353,10 +351,11 @@ def _factor_twins(f: np.ndarray, config: SplineConfig) -> _Twins:
     Z_tilde = _uncentered_twins(f, config)
     B = Z_tilde[0, :, :L]
     mean = B.mean(axis=0)
-    q_tilde, R = np.linalg.qr(Z_tilde)
+    q_tilde, r_tilde = np.linalg.qr(Z_tilde)
     # Rank contract: Z carries exactly one built-in dependency (see
     # DesignMatrix), Z_tilde none. Anything worse is a genuine singularity.
-    rcond_tilde = _effective_rcond(np.linalg.svd(R, compute_uv=False))
+    rcond_tilde = _effective_rcond(np.linalg.svd(r_tilde, compute_uv=False))
+    R = r_tilde.copy()
     R[:, :, :L] -= q_tilde.sum(axis=1)[:, :, None] * mean
     rcond = _effective_rcond(np.linalg.svd(R, compute_uv=False), structural_nullity=1)
     failing = np.flatnonzero((rcond <= RCOND_MIN) | (rcond_tilde <= RCOND_MIN))
@@ -373,7 +372,7 @@ def _factor_twins(f: np.ndarray, config: SplineConfig) -> _Twins:
             "uncentered design matrix is rank deficient (first failing "
             f"prefix: {_name_singular_block([B] + factor_blocks, p)})"
         )
-    return _Twins(q_tilde, R, rcond, rcond_tilde)
+    return _Twins(q_tilde, r_tilde)
 
 
 def _project(q: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -396,40 +395,34 @@ def build_design(
         design.
     config : SplineConfig
 
-    The uncentered twin is factorized by `_factor_twins` (a stack of one);
-    the centered twin's basis Q is Q_tilde rotated by the left singular
-    vectors of Q_tilde' Z, less the last one, and h = 1 - Q (Q' 1).
+    The uncentered twin is factorized by `_factor_twins` (a stack of one)
+    as Z_tilde = Q_tilde R_tilde, and h comes from one K x K solve. With
+    m_pad the basis column means padded with zeros to K, Q_tilde' Z =
+    R_tilde - (Q_tilde' 1) m_pad'. Since the basis sums to one,
+    (Q_tilde' 1)' R_tilde^-T m_pad = sum(m) = 1, so v = R_tilde^-T m_pad
+    spans the null space of (Q_tilde' Z)': Q_tilde v is the one direction
+    of Q_tilde's span outside Z's, and h = 1 - Q_tilde (Q_tilde' 1 - v / v'v).
 
     `_twins` is private to the knot search, which has factorized the
     chosen count's twins on these factors already: a design chosen by the
-    search is built from that stack of one, so only the K x K SVD with
-    vectors, Q and h are new work.
+    search is built from that stack of one, so only the solve and h are
+    new work.
     """
     f = _as_factor_matrix(factors)
-    T, p = f.shape
+    T = f.shape[0]
     twins = _factor_twins(f[None], config) if _twins is None else _twins
-    L = config.basis_dim
-    K = (1 + p) * L
     q_tilde = twins.Q_tilde[0]
-    rotation = np.linalg.svd(twins.R[0])[0]
-    q = q_tilde @ rotation[:, : K - 1]
+    m_pad = np.zeros(q_tilde.shape[1])
+    m_pad[: config.basis_dim] = _clamped_basis(T, config.interior_knots, config.order).mean(axis=0)
+    v = np.linalg.solve(twins.R_tilde[0].T, m_pad)
     ones = np.ones(T)
-    h = ones - q @ (q.T @ ones)
+    h = ones - q_tilde @ (q_tilde.T @ ones - v / (v @ v))
     omega = float(np.clip(h @ h, 0.0, float(T)))
-    return DesignMatrix(
-        factors=f.copy(),
-        omega_T=omega,
-        h=h,
-        config=config,
-        Q=q,
-        Q_tilde=q_tilde,
-        rcond=float(twins.rcond[0]),
-        rcond_tilde=float(twins.rcond_tilde[0]),
-    )
+    return DesignMatrix(factors=f.copy(), omega_T=omega, h=h, config=config, Q_tilde=q_tilde)
 
 
-# A row whose annihilator diagonal 1 - ||Q_t||^2 falls to this has leverage
-# 1: its residual is identically zero.
+# A row whose annihilator diagonal falls to this has leverage 1: its
+# residual is identically zero.
 _LEVERAGE_GAP = 1e-12
 
 
@@ -443,11 +436,11 @@ def _check_h_norm(hh: float) -> None:
 
 
 def _annihilator_diagonal(design: DesignMatrix) -> np.ndarray:
-    """diag(I - Q Q'), Q the centered twin's basis. Raises
-    DegenerateStatisticError, naming the first such time, when a row has
-    leverage 1."""
-    q = design.Q
-    d = 1.0 - np.einsum("tk,tk->t", q, q)
+    """diag(M) = 1 - ||Q_tilde_t||^2 + h_t^2 / h'h, M the centered twin's
+    annihilator (see `DesignMatrix`). Raises DegenerateStatisticError,
+    naming the first such time, when a row has leverage 1."""
+    q, h = design.Q_tilde, design.h
+    d = 1.0 - np.einsum("tk,tk->t", q, q) + h * h / float(h @ h)
     if np.any(d <= _LEVERAGE_GAP):
         bad = int(np.argmin(d))
         raise DegenerateStatisticError(
@@ -517,8 +510,6 @@ def fit_panel(panel, design: DesignMatrix, *, _projection=None) -> FitResult:
         raise ContractError(
             f"panel has {Y.shape[0]} rows but design expects {design.n_obs}"
         )
-    if design.rcond <= RCOND_MIN or design.rcond_tilde <= RCOND_MIN:
-        raise SingularDesignError("design is too ill conditioned to fit")
     q = design.Q_tilde
     qy = _project(q[None], Y[None])[0] if _projection is None else _projection
     resid_tilde = _residual(Y, q, qy)

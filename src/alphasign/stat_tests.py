@@ -194,10 +194,9 @@ def trace_sigma_u_sq(gram_tilde, h) -> float:
     W = G * inv_norms[:, None]
     W *= inv_norms
     np.multiply(W, W, out=W)
+    np.fill_diagonal(W, 0.0)
     h2 = hv * hv
-    total = float(h2 @ W @ h2)
-    diag_part = float(np.sum(h2 * h2 * np.diag(W)))
-    return (total - diag_part) / (hh * (hh - 1.0))
+    return float(h2 @ W @ h2) / (hh * (hh - 1.0))
 
 
 def projection_sign_bias(design: DesignMatrix) -> float:
@@ -205,21 +204,23 @@ def projection_sign_bias(design: DesignMatrix) -> float:
 
     Residual rows are projections of the underlying errors, so sign vectors
     at distinct times have expected inner product approximately
-    M_t1t2 / sqrt(M_t1t1 M_t2t2), where M = I - QQ' is the design's
-    annihilator. The h-weighted sum of those expectations over distinct
-    pairs, divided by h'h, is a pure design constant (no data enters) and
-    is subtracted from the sum-type numerator so the statistic is centered
-    under the null.
+    M_t1t2 / sqrt(M_t1t1 M_t2t2), where M = I - Q_tilde Q_tilde' + h h'/h'h
+    is the design's annihilator (see `DesignMatrix`). The h-weighted sum of
+    those expectations over distinct pairs, divided by h'h, is a pure
+    design constant (no data enters) and is subtracted from the sum-type
+    numerator so the statistic is centered under the null.
 
     With d = diag(M) and g = h / sqrt(d), the all-pairs sum is
-    g'Mg = g'g - ||Q'g||^2 and its diagonal is h'h; no T x T matrix is formed.
+    g'Mg = g'g - ||Q_tilde'g||^2 + (h'g)^2 / h'h and its diagonal is h'h;
+    no T x T matrix is formed.
     """
     d = _annihilator_diagonal(design)
     hv = design.h
     hh = float(hv @ hv)
     g = hv / np.sqrt(d)
-    qg = design.Q.T @ g
-    return (float(g @ g) - float(qg @ qg) - hh) / hh
+    qg = design.Q_tilde.T @ g
+    hg = float(hv @ g)
+    return (float(g @ g) - float(qg @ qg) + hg * hg / hh - hh) / hh
 
 
 def css_test(fit: FitResult, design: DesignMatrix) -> TestResult:

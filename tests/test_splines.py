@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import orth
 
 from alphasign.basis import (
     SplineConfig,
+    _annihilator_diagonal,
     _basis_matrix,
     _clamped_basis,
     bic_penalty,
@@ -120,11 +122,11 @@ def test_design_layout_and_h_invariants(small_design):
     assert np.max(np.abs(design.Z.T @ design.h)) <= 1e-8
     assert design.omega_T == pytest.approx(float(design.h @ design.h), rel=1e-12)
     assert 0.0 < design.omega_T <= T
-    # the annihilator I - QQ' of the stored basis kills every design column
-    # and fixes h
-    q = design.Q
-    assert np.max(np.abs(design.Z - q @ (q.T @ design.Z))) <= 1e-8
-    assert np.max(np.abs(q.T @ design.h)) <= 1e-8
+    # h is the annihilated ones vector of an oracle basis of Z's span
+    q = orth(design.Z)
+    assert q.shape[1] == design.n_columns - 1
+    ones = np.ones(T)
+    assert np.max(np.abs(ones - q @ (q.T @ ones) - design.h)) <= 1e-10
 
 
 def test_design_arrays_are_read_only(small_design):
@@ -133,12 +135,16 @@ def test_design_arrays_are_read_only(small_design):
         small_design.Z[0, 0] = 1.0
     with pytest.raises(ValueError):
         small_design.Z_tilde[0, 0] = 1.0
-    # the bases are orthonormal and span the twins' columns
+    for arr in (small_design.h, small_design.Q_tilde, small_design.factors):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # the stored basis is orthonormal and spans Z_tilde's columns, which
+    # hold Z's and h
     K = small_design.n_columns
-    for Q, Z, rank in ((small_design.Q, small_design.Z, K - 1),
-                       (small_design.Q_tilde, small_design.Z_tilde, K)):
-        assert Q.shape == (small_design.n_obs, rank)
-        assert np.max(np.abs(Q.T @ Q - np.eye(rank))) <= 1e-12
+    Q = small_design.Q_tilde
+    assert Q.shape == (small_design.n_obs, K)
+    assert np.max(np.abs(Q.T @ Q - np.eye(K))) <= 1e-12
+    for Z in (small_design.Z_tilde, small_design.Z, small_design.h[:, None]):
         assert np.max(np.abs(Z - Q @ (Q.T @ Z))) <= 1e-10 * np.max(np.abs(Z))
 
 
@@ -184,20 +190,40 @@ def test_fit_matches_brute_force_normal_equations():
 @pytest.mark.parametrize("example", [1, 2, 3, "intercept only"])
 def test_rank_one_residuals_match_the_projection_oracle(example):
     # the centered residuals come from the uncentered ones by the rank-one
-    # update E = E~ + h (h'Y)' / h'h; the oracle projects Y on Q directly
+    # update E = E~ + h (h'Y)' / h'h; the oracle projects Y on an
+    # orthonormal basis of Z's span directly. The annihilator's diagonal is
+    # read off Q_tilde and h; the oracle takes it as diag(I - P_Z).
     ex = 1 if example == "intercept only" else example
     sim = simulate_panel(ex, ErrorScenario("t"), AlphaSpec(), 20, 120, np.random.default_rng(11))
     F = sim.factors[:, :0] if example == "intercept only" else sim.factors
     design = build_design(F, SplineConfig(3, 3))
+    q_oracle = orth(design.Z)
+    leverage = np.einsum("tk,tk->t", q_oracle, q_oracle)
+    assert np.max(np.abs(_annihilator_diagonal(design) - (1.0 - leverage))) <= 1e-12
     Y = sim.panel
     fit = fit_panel(Y, design)
-    for q, resid in ((design.Q, fit.residuals), (design.Q_tilde, fit.residuals_tilde)):
+    for q, resid in ((q_oracle, fit.residuals), (design.Q_tilde, fit.residuals_tilde)):
         oracle = Y - q @ (q.T @ Y)
         assert np.max(np.abs(resid - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     h = design.h
     assert np.max(np.abs(h @ fit.residuals_tilde)) <= 1e-12 * np.linalg.norm(h) * np.max(
         np.linalg.norm(fit.residuals_tilde, axis=0)
     )
+
+
+def test_fixed_knot_design_takes_two_singular_value_calls(small_sim, monkeypatch):
+    # one factorization per design: the QR of the uncentered twin, and one
+    # singular-value call per twin for its rank check; no SVD with vectors
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    build_design(small_sim.factors, SplineConfig(2, 3))
+    assert calls == [False, False]
 
 
 def test_fit_residuals_orthogonal_to_design(small_design, small_fit):

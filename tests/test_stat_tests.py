@@ -126,13 +126,15 @@ def test_trace_guards():
 
 
 def test_css_orthogonal_signs_have_no_normalizer():
-    # intercept-only design with no interior knots: the centered block is
-    # orthogonal to the constant, so h = 1
-    design = build_design(np.empty((8, 0)), SplineConfig(0, 2))
-    assert np.allclose(design.h, 1.0, rtol=0.0, atol=1e-12)
+    # intercept-only designs with no interior knots: the centered block is
+    # orthogonal to the constant, so h = 1; orthogonal signs have no cross
+    # products, so the trace is exactly 0 whatever h's rounding
     signs = np.eye(10)[:8]
-    with pytest.raises(DegenerateStatisticError, match="trace estimate must be positive"):
-        css_test(FitResult(signs, signs), design)
+    for order in (2, 3):
+        design = build_design(np.empty((8, 0)), SplineConfig(0, order))
+        assert np.allclose(design.h, 1.0, rtol=0.0, atol=1e-12)
+        with pytest.raises(DegenerateStatisticError, match="trace estimate must be positive"):
+            css_test(FitResult(signs, signs), design)
 
 
 def test_css_input_guards(small_sim, small_design, small_fit):
