@@ -47,6 +47,7 @@ from .dgp import (
 from .errors import (
     AlphaSignError,
     ContractError,
+    ConvergenceError,
     DegenerateScaleError,
     DegenerateStatisticError,
     PanelFormatError,

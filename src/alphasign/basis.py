@@ -15,13 +15,16 @@ contains the centered one's; it keeps that twin's orthonormal basis
 alone. The two spans differ by one direction, the annihilated ones
 vector h, which one K x K solve gives, so a fit is one projection on
 the basis and a rank-one update, and the centered twin's annihilator is
-read off the basis and h. The knot search scores a candidate from the
-uncentered twin's basis alone and keeps each panel's best candidate, so
-the chosen design and its fit reuse the search's factorization and
-projection. The search takes a
-stack of panels of one length (consecutive rolling windows) and
-factorizes its twins in one batched call; a single panel, and a
-design built at a fixed count, is a stack of one.
+read off the basis and h. Both twins' rank checks are certified from
+the uncentered twin's triangular factor R_tilde and its inverse, with
+singular values only for a design near the threshold.
+
+The knot search scores a candidate from R_tilde alone: the fitted sum of
+squares is ||R_tilde^-T Z_tilde' Y||^2, so no candidate forms a basis.
+It takes a stack of panels of one length (consecutive rolling windows)
+and factorizes its twins in one batched call; a single panel is a stack
+of one. The chosen count's design is then built by `build_design`, as a
+fixed count's is, so a chosen design equals the design at its count.
 """
 
 from __future__ import annotations
@@ -39,14 +42,20 @@ from .errors import ContractError, DegenerateStatisticError, SingularDesignError
 # Reciprocal condition number below which a design is treated as singular.
 RCOND_MIN = 1e-12
 
+# A design whose certified lower bound on both twins' reciprocal condition
+# numbers is at least this many times RCOND_MIN passes both rank checks
+# without singular values (`_factor_twins`); the margin covers the
+# rounding of the exact check's singular values.
+_SCREEN_MARGIN = 2.0
+
 # Share of ||Y||^2 below which bic_score takes its residual sum of squares
 # from the residual rather than from ||Y||^2 - ||Q'Y||^2, keeping the
 # subtraction's relative error near eps / 1e-3.
 _RSS_FALLBACK = 1e-3
 
-# Bases kept by _clamped_basis: two panel lengths' default knot searches
-# (8 candidates each), so every window of a rolling run and every
-# replication of a cell reuses its bases.
+# Bases kept by _clamped_basis, and their column means by _basis_means:
+# two panel lengths' default knot searches (8 candidates each), so every
+# window of a rolling run and every replication of a cell reuses them.
 _BASIS_CACHE_SIZE = 16
 
 
@@ -137,6 +146,14 @@ def _clamped_basis(T: int, interior_knots: int, order: int) -> np.ndarray:
     B = _basis_matrix(make_knots(interior_knots, order), order, np.arange(1, T + 1) / T)
     B.flags.writeable = False
     return B
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _basis_means(T: int, interior_knots: int, order: int) -> np.ndarray:
+    """The column means m of `_clamped_basis`, read-only; they sum to one."""
+    m = _clamped_basis(T, interior_knots, order).mean(axis=0)
+    m.flags.writeable = False
+    return m
 
 
 def _as_factor_matrix(factors) -> np.ndarray:
@@ -231,24 +248,20 @@ def _name_singular_block(
 @dataclass(frozen=True)
 class DesignMatrix:
     """Sieve design pair for one panel length, factorized once. Its arrays
-    are read-only, so the stored bases cannot go stale. A design the knot
-    search chose is built from the search's own factorization (see
-    `build_design`).
+    are read-only, so the stored basis cannot go stale.
+
+    The design pair itself is not stored. The centered twin Z holds the
+    centered intercept-basis block followed by p factor blocks; that block
+    carries one exact linear dependency by construction (its columns sum
+    to zero), so Z has column rank (1+p)L - 1, and every quantity derived
+    from it here depends only on its column span. The uncentered twin
+    Z_tilde has the same layout with the uncentered block and is full
+    rank (`_uncentered_twins` assembles it from the factors).
 
     Attributes
     ----------
     factors : (T, p) array
         The factor realizations the design was built from (a copy).
-    Z : (T, (1+p)L) array
-        Centered intercept-basis block followed by p factor blocks. The
-        centered block carries one exact linear dependency by construction
-        (its columns sum to zero), so Z has column rank (1+p)L - 1; every
-        quantity derived from it here depends only on its column span.
-        Assembled from the factors on each access: no statistic reads
-        it, so a design does not hold it.
-    Z_tilde : (T, (1+p)L) array
-        Same layout with the uncentered intercept-basis block; full rank.
-        Assembled on each access, as Z is.
     omega_T : float
         1' M 1 where M is the annihilator of Z; equals the squared norm of h.
     h : (T,) array
@@ -271,20 +284,6 @@ class DesignMatrix:
             arr.flags.writeable = False
 
     @property
-    def Z_tilde(self) -> np.ndarray:
-        Z_tilde = _uncentered_twins(self.factors[None], self.config)[0]
-        Z_tilde.flags.writeable = False
-        return Z_tilde
-
-    @property
-    def Z(self) -> np.ndarray:
-        Z = _uncentered_twins(self.factors[None], self.config)[0]
-        L = self.config.basis_dim
-        Z[:, :L] -= Z[:, :L].mean(axis=0)
-        Z.flags.writeable = False
-        return Z
-
-    @property
     def n_factors(self) -> int:
         return self.factors.shape[1]
 
@@ -298,17 +297,14 @@ class DesignMatrix:
 
 
 class _Twins(NamedTuple):
-    """A stack of W design pairs factorized through the uncentered twins,
-    Z_tilde = Q_tilde R_tilde, rank-checked; both arrays have the stack as
-    their leading axis."""
+    """A stack of W design pairs factorized through their uncentered twins
+    Z_tilde = Q_tilde R_tilde and rank-checked; every array has the stack
+    as its leading axis. Q_tilde is None unless the basis was asked for."""
 
-    Q_tilde: np.ndarray
+    Z_tilde: np.ndarray
+    Q_tilde: np.ndarray | None
     R_tilde: np.ndarray  # K x K upper triangular
-
-    def take(self, w: int) -> _Twins:
-        """Panel w's factorization as a stack of one, copied out of the
-        stack so that the stack itself can be freed."""
-        return _Twins(*(a[w : w + 1].copy() for a in self))
+    R_inv: np.ndarray  # its inverse
 
 
 def _uncentered_twins(f: np.ndarray, config: SplineConfig) -> np.ndarray:
@@ -324,22 +320,87 @@ def _uncentered_twins(f: np.ndarray, config: SplineConfig) -> np.ndarray:
     return Z_tilde
 
 
-def _factor_twins(f: np.ndarray, config: SplineConfig) -> _Twins:
-    """For each (T, p) factor block of the (W, T, p) stack f, assemble the
-    uncentered twin Z_tilde (`_uncentered_twins`), factorize it as
-    Q_tilde R_tilde by Householder QR and check the rank of both twins.
-    One batched QR and two batched K x K singular-value calls serve the
-    whole stack.
+def _inverses(R: np.ndarray) -> np.ndarray:
+    """The inverse of each K x K matrix of the stack R, or NaNs for one
+    that LAPACK finds singular; each equals the matrix's inverse alone."""
+    try:
+        return np.linalg.inv(R)
+    except np.linalg.LinAlgError:
+        out = np.full_like(R, np.nan)
+        for w, r in enumerate(R):
+            try:
+                out[w] = np.linalg.inv(r)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
-    The clamped basis sums to one, so the centered twin Z, whose intercept
-    block is B - 1 m' (m the column means of B), lies in the span of
-    Z_tilde: Z = Q_tilde (Q_tilde' Z). The K x K matrix Q_tilde' Z
-    therefore has the singular values of Z. It is formed, for the rank
-    check only, as R_tilde less (Q_tilde' 1) m' in the intercept columns,
-    without Z; R_tilde has the singular values of Z_tilde. Raises
-    ContractError when T < K + 1 and SingularDesignError, naming the first
-    failing block of the first failing design in the stack, when either
-    twin is rank deficient (Z beyond its built-in dependency).
+
+def _rcond_bounds(R: np.ndarray, R_inv: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """A lower bound, per design of the stack, on the reciprocal condition
+    numbers of both twins; 0 or NaN where the inverse is not finite.
+
+    With Z_tilde = Q_tilde R_tilde, rcond(Z_tilde) >= 1 / (||R||_F
+    ||R^-1||_F), since the Frobenius norm bounds the spectral one. The
+    centered twin is Z = Z_tilde - 1 m_pad' (m the basis column means), a
+    rank-one change, so sigma_{K-1}(Z) >= sigma_K(Z_tilde) by interlacing,
+    while sigma_1(Z) <= sigma_1(Z_tilde) + sqrt(T) ||m|| <= (1 + sqrt(L)
+    ||m||) sigma_1(Z_tilde), because Z_tilde maps [1_L; 0] / sqrt(L) to
+    1 / sqrt(L) and so sigma_1(Z_tilde) >= sqrt(T / L). Hence rcond(Z) >=
+    rcond(Z_tilde) / (1 + sqrt(L) ||m||), the smaller of the two bounds.
+    """
+    centering = 1.0 + math.sqrt(mean.size * float(mean @ mean))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("wij,wij->w", R, R) * np.einsum("wij,wij->w", R_inv, R_inv))
+        return 1.0 / (norms * centering)
+
+
+def _exact_rank_check(
+    Z_tilde: np.ndarray, q_tilde: np.ndarray, r_tilde: np.ndarray, mean: np.ndarray, p: int
+) -> None:
+    """Both twins' rank checks on one design from singular values. The
+    centered twin Z, whose intercept block is B - 1 m' (m the column means
+    of B), lies in the span of Z_tilde, so Q_tilde' Z, formed as R_tilde
+    less (Q_tilde' 1) m' in the intercept columns, has the singular values
+    of Z; R_tilde has those of Z_tilde. Raises SingularDesignError, naming
+    the first failing block, when either twin is rank deficient (Z beyond
+    its built-in dependency)."""
+    L = mean.size
+    rcond_tilde = _effective_rcond(np.linalg.svd(r_tilde, compute_uv=False))
+    R = r_tilde.copy()
+    R[:, :L] -= q_tilde.sum(axis=0)[:, None] * mean
+    rcond = _effective_rcond(np.linalg.svd(R, compute_uv=False), structural_nullity=1)
+    if rcond > RCOND_MIN and rcond_tilde > RCOND_MIN:
+        return
+    B = Z_tilde[:, :L]
+    factor_blocks = [Z_tilde[:, (j + 1) * L : (j + 2) * L] for j in range(p)]
+    if rcond <= RCOND_MIN:
+        raise SingularDesignError(
+            "design matrix is rank deficient beyond the built-in dependency "
+            "of the centered intercept block (first failing prefix: "
+            f"{_name_singular_block([B - mean] + factor_blocks, p, first_block_nullity=1)})"
+        )
+    raise SingularDesignError(
+        "uncentered design matrix is rank deficient (first failing "
+        f"prefix: {_name_singular_block([B] + factor_blocks, p)})"
+    )
+
+
+def _factor_twins(f: np.ndarray, config: SplineConfig, *, basis: bool = False) -> _Twins:
+    """For each (T, p) factor block of the (W, T, p) stack f, assemble the
+    uncentered twin Z_tilde (`_uncentered_twins`), factorize it by
+    Householder QR, with its basis Q_tilde only if `basis`, invert R_tilde
+    and check the rank of both twins. One batched QR and one batched K x K
+    inverse serve the whole stack, and the two calls give each design the
+    bits it gets alone.
+
+    A design whose certified bound on both twins' reciprocal condition
+    numbers (`_rcond_bounds`) is at least _SCREEN_MARGIN * RCOND_MIN passes
+    both checks with no singular values. Every other design, one whose
+    bound is too small, whose R_tilde LAPACK finds singular, or whose
+    inverse is not finite, takes the exact check (`_exact_rank_check`),
+    which accepts it or raises its error. Raises ContractError when T <
+    K + 1 and, for the first design in the stack that fails, its
+    SingularDesignError.
     """
     _, T, p = f.shape
     L = config.basis_dim
@@ -349,43 +410,20 @@ def _factor_twins(f: np.ndarray, config: SplineConfig) -> _Twins:
             f"need T >= (1+p)L + 1 = {K + 1} observations, got T={T}"
         )
     Z_tilde = _uncentered_twins(f, config)
-    B = Z_tilde[0, :, :L]
-    mean = B.mean(axis=0)
-    q_tilde, r_tilde = np.linalg.qr(Z_tilde)
-    # Rank contract: Z carries exactly one built-in dependency (see
-    # DesignMatrix), Z_tilde none. Anything worse is a genuine singularity.
-    rcond_tilde = _effective_rcond(np.linalg.svd(r_tilde, compute_uv=False))
-    R = r_tilde.copy()
-    R[:, :, :L] -= q_tilde.sum(axis=1)[:, :, None] * mean
-    rcond = _effective_rcond(np.linalg.svd(R, compute_uv=False), structural_nullity=1)
-    failing = np.flatnonzero((rcond <= RCOND_MIN) | (rcond_tilde <= RCOND_MIN))
-    if failing.size:
-        w = failing[0]
-        factor_blocks = [Z_tilde[w, :, (j + 1) * L : (j + 2) * L] for j in range(p)]
-        if rcond[w] <= RCOND_MIN:
-            raise SingularDesignError(
-                "design matrix is rank deficient beyond the built-in dependency "
-                "of the centered intercept block (first failing prefix: "
-                f"{_name_singular_block([B - mean] + factor_blocks, p, first_block_nullity=1)})"
-            )
-        raise SingularDesignError(
-            "uncentered design matrix is rank deficient (first failing "
-            f"prefix: {_name_singular_block([B] + factor_blocks, p)})"
-        )
-    return _Twins(q_tilde, r_tilde)
+    if basis:
+        q_tilde, r_tilde = np.linalg.qr(Z_tilde)
+    else:
+        q_tilde, r_tilde = None, np.linalg.qr(Z_tilde, mode="r")
+    r_inv = _inverses(r_tilde)
+    mean = _basis_means(T, config.interior_knots, config.order)
+    certified = _rcond_bounds(r_tilde, r_inv, mean) >= _SCREEN_MARGIN * RCOND_MIN
+    for w in np.flatnonzero(~certified):
+        q = np.linalg.qr(Z_tilde[w])[0] if q_tilde is None else q_tilde[w]
+        _exact_rank_check(Z_tilde[w], q, r_tilde[w], mean, p)
+    return _Twins(Z_tilde, q_tilde, r_tilde, r_inv)
 
 
-def _project(q: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """q_w' Y_w for each panel of a stack: the (W, K, N) coordinates of the
-    panels in the orthonormal bases q. The knot search and the fit both
-    take them here, so that a fit reusing the search's product equals one
-    that forms it."""
-    return np.swapaxes(q, 1, 2) @ Y
-
-
-def build_design(
-    factors, config: SplineConfig, *, _twins: _Twins | None = None
-) -> DesignMatrix:
+def build_design(factors, config: SplineConfig) -> DesignMatrix:
     """Assemble and factorize the centered/uncentered design pair.
 
     Parameters
@@ -395,25 +433,23 @@ def build_design(
         design.
     config : SplineConfig
 
-    The uncentered twin is factorized by `_factor_twins` (a stack of one)
-    as Z_tilde = Q_tilde R_tilde, and h comes from one K x K solve. With
-    m_pad the basis column means padded with zeros to K, Q_tilde' Z =
-    R_tilde - (Q_tilde' 1) m_pad'. Since the basis sums to one,
-    (Q_tilde' 1)' R_tilde^-T m_pad = sum(m) = 1, so v = R_tilde^-T m_pad
-    spans the null space of (Q_tilde' Z)': Q_tilde v is the one direction
-    of Q_tilde's span outside Z's, and h = 1 - Q_tilde (Q_tilde' 1 - v / v'v).
-
-    `_twins` is private to the knot search, which has factorized the
-    chosen count's twins on these factors already: a design chosen by the
-    search is built from that stack of one, so only the solve and h are
-    new work.
+    The uncentered twin is factorized and rank-checked by `_factor_twins`
+    (a stack of one) as Z_tilde = Q_tilde R_tilde, with the same R_tilde
+    bits and the same rank decision as the knot search's scoring, and h
+    comes from one K x K solve. With m_pad the basis column means padded
+    with zeros to K, Q_tilde' Z = R_tilde - (Q_tilde' 1) m_pad'. Since the
+    basis sums to one, (Q_tilde' 1)' R_tilde^-T m_pad = sum(m) = 1, so
+    v = R_tilde^-T m_pad spans the null space of (Q_tilde' Z)': Q_tilde v
+    is the one direction of Q_tilde's span outside Z's, and
+    h = 1 - Q_tilde (Q_tilde' 1 - v / v'v). The knot search builds its
+    chosen count's design here too.
     """
     f = _as_factor_matrix(factors)
     T = f.shape[0]
-    twins = _factor_twins(f[None], config) if _twins is None else _twins
+    twins = _factor_twins(f[None], config, basis=True)
     q_tilde = twins.Q_tilde[0]
     m_pad = np.zeros(q_tilde.shape[1])
-    m_pad[: config.basis_dim] = _clamped_basis(T, config.interior_knots, config.order).mean(axis=0)
+    m_pad[: config.basis_dim] = _basis_means(T, config.interior_knots, config.order)
     v = np.linalg.solve(twins.R_tilde[0].T, m_pad)
     ones = np.ones(T)
     h = ones - q_tilde @ (q_tilde.T @ ones - v / (v @ v))
@@ -492,7 +528,7 @@ class FitResult:
             arr.flags.writeable = False
 
 
-def fit_panel(panel, design: DesignMatrix, *, _projection=None) -> FitResult:
+def fit_panel(panel, design: DesignMatrix) -> FitResult:
     """Regress every asset's return series on the design pair.
 
     No intercept is added: the centered design leaves each asset's
@@ -501,9 +537,6 @@ def fit_panel(panel, design: DesignMatrix, *, _projection=None) -> FitResult:
     design's stored basis. The uncentered twin's span is the centered
     one's plus h, orthogonal to it, so the centered residuals follow by a
     rank-one update, E = E~ + h (h'Y)' / h'h, with no second projection.
-
-    `_projection` is private to the battery: Q_tilde' Y (K x N) as the knot
-    search formed it on this panel for the design it chose.
     """
     Y = _as_panel(panel)
     if Y.shape[0] != design.n_obs:
@@ -511,8 +544,7 @@ def fit_panel(panel, design: DesignMatrix, *, _projection=None) -> FitResult:
             f"panel has {Y.shape[0]} rows but design expects {design.n_obs}"
         )
     q = design.Q_tilde
-    qy = _project(q[None], Y[None])[0] if _projection is None else _projection
-    resid_tilde = _residual(Y, q, qy)
+    resid_tilde = _residual(Y, q, q.T @ Y)
     h = design.h
     resid = np.multiply.outer(h / float(h @ h), h @ Y)
     resid += resid_tilde
@@ -537,11 +569,14 @@ def bic_score(panel, factors, config: SplineConfig, *, _norms=None):
 
     The goodness-of-fit term is the log mean squared residual of the
     uncentered-design fit, whose span contains the constant and therefore
-    absorbs any time-averaged intercept before the fit is scored. With Q
-    the uncentered twin's orthonormal basis, the residual sum of squares is
-    ||Y||^2 - ||Q'Y||^2, so no T x N residual is formed. That subtraction
-    loses about eps ||Y||^2 / RSS relative accuracy; when RSS falls below
-    1e-3 ||Y||^2 it is taken from the residual Y - Q(Q'Y) instead. A
+    absorbs any time-averaged intercept before the fit is scored. With
+    Z_tilde = Q_tilde R_tilde the uncentered twin's factorization, Q_tilde'
+    Y = R_tilde^-T (Z_tilde' Y), so the residual sum of squares is ||Y||^2
+    - ||R_tilde^-T Z_tilde' Y||^2, from the twin's triangular factor and
+    its inverse (`_factor_twins`): no basis and no T x N residual is
+    formed. That subtraction loses about eps ||Y||^2 / RSS relative
+    accuracy; when RSS falls below 1e-3 ||Y||^2 that panel alone takes the
+    reduced QR and the residual Y - Q_tilde (Q_tilde' Y) instead. A
     candidate is unusable, with `build_design`'s error, exactly when its
     design pair is.
 
@@ -553,26 +588,22 @@ def bic_score(panel, factors, config: SplineConfig, *, _norms=None):
 
     `_norms` is private to the knot search, which scores every candidate
     on one stack: the panels' `_squared_norms`, taken once for the search.
-    With it the call returns the W scores, the stack's `_Twins` and its
-    Q'Y, from which the search keeps each panel's best candidate.
     """
     Y, f = _panel_stack(panel, factors)
     W, T, N = Y.shape
     norms = _squared_norms(Y) if _norms is None else _norms
     twins = _factor_twins(f, config)
-    q = twins.Q_tilde
-    fitted = _project(q, Y)
+    fitted = np.swapaxes(twins.R_inv, 1, 2) @ (np.swapaxes(twins.Z_tilde, 1, 2) @ Y)
     penalty = bic_penalty(N, T, f.shape[2], config)
     scores = np.empty(W)
     for w, yy in enumerate(norms):
         rss = yy - float(np.vdot(fitted[w], fitted[w]))
         if rss < _RSS_FALLBACK * yy:
-            resid = _residual(Y[w], q[w], fitted[w])
+            q = np.linalg.qr(twins.Z_tilde[w])[0]
+            resid = _residual(Y[w], q, q.T @ Y[w])
             rss = float(np.vdot(resid, resid))
         # exact interpolation pushes the criterion to -inf, so it wins
         scores[w] = math.log(rss / (T * N)) + penalty if rss > 0.0 else -math.inf
-    if _norms is not None:
-        return scores, twins, fitted
     return scores if np.ndim(panel) == 3 else float(scores[0])
 
 
@@ -610,55 +641,40 @@ def _score_or_error(panel, factors, config: SplineConfig, norms):
     """The search's `bic_score` of a (1, T, N) stack, or the error that
     makes the candidate unusable."""
     try:
-        return bic_score(panel, factors, config, _norms=norms)
+        return float(bic_score(panel, factors, config, _norms=norms)[0])
     except _UNUSABLE as exc:
         return exc
 
 
-class _Best(NamedTuple):
-    """A panel's best candidate so far in the knot search: its score,
-    its twins' factorization as a stack of one, and the panel's Q_tilde' Y."""
-
-    score: float
-    config: SplineConfig
-    twins: _Twins
-    projection: np.ndarray
-
-
 class _Choice(NamedTuple):
     """One panel's outcome of the knot search: its table of {n: score, or
-    the error that makes candidate n unusable}, keyed in ascending n; its
-    best candidate (None when no candidate is usable); and its factors.
-    `design` builds the chosen design."""
+    the error that makes candidate n unusable}, keyed in ascending n, its
+    factors and the spline order. `design` builds the chosen design."""
 
     scores: dict
-    best: _Best | None
     factors: np.ndarray
+    order: int
 
     @one_blas_thread()
-    def design(self) -> tuple[DesignMatrix, np.ndarray | None]:
-        """The chosen design, and the panel's Q_tilde' Y in its basis as the
-        search formed it (None when the design was built anew). OpenBLAS
-        runs at one thread for the call, as in the search.
+    def design(self) -> DesignMatrix:
+        """The chosen design, built by `build_design` at the best count, so
+        it equals the design at that count. OpenBLAS runs at one thread for
+        the call, as in the search.
 
-        The best candidate's design is built from the search's own
-        factorization. It must be one the sum-type sign test accepts
+        The design must be one the sum-type sign test accepts
         (`_sign_test_refusal`); if not, its count is marked unusable in
         `scores` with that test's error, and the next count in score order
-        is built anew (this is rare), until a design is accepted. Raises
+        is built (this is rare), until a design is accepted. Raises
         SingularDesignError, listing each candidate's error, when no count
         is left.
         """
-        if self.best is None:
-            _best_knots(self.scores)  # raises, listing each candidate's error
-        config = self.best.config
-        design = build_design(self.factors, config, _twins=self.best.twins)
-        projection = self.best.projection
-        while (refusal := _sign_test_refusal(design)) is not None:
-            self.scores[design.config.interior_knots] = refusal
-            n = _best_knots(self.scores)
-            design, projection = build_design(self.factors, SplineConfig(n, config.order)), None
-        return design, projection
+        while True:
+            config = SplineConfig(_best_knots(self.scores), self.order)
+            design = build_design(self.factors, config)
+            refusal = _sign_test_refusal(design)
+            if refusal is None:
+                return design
+            self.scores[config.interior_knots] = refusal
 
 
 @one_blas_thread()
@@ -668,16 +684,14 @@ def _choose_designs(panel, factors, candidates, order: int) -> list[_Choice]:
     `_Choice` per panel (a single panel is a stack of one), whose `design`
     builds the panel's chosen design.
 
-    Each candidate is scored on the whole stack by one `bic_score` call; a
-    candidate unusable on some panel is rescored panel by panel. Every
-    call reads the panels' squared norms, taken once. For each panel the
-    search keeps its best candidate's factorization and Q_tilde' Y, not
-    every candidate's; ties go to the smaller count, as in `_best_knots`.
-    Candidates with too few observations or singular designs are
-    unusable. Raises ContractError if the candidate set is empty or holds
-    a count that is not a non-negative integer, the order is not an
-    integer >= 1, or the panel and factors disagree in shape or hold
-    non-finite values. OpenBLAS runs at one thread for the call.
+    Each candidate is scored on the whole stack by one `bic_score` call,
+    from its twins' triangular factors alone; a candidate unusable on some
+    panel is rescored panel by panel. Every call reads the panels' squared
+    norms, taken once. Candidates with too few observations or singular
+    designs are unusable. Raises ContractError if the candidate set is
+    empty or holds a count that is not a non-negative integer, the order
+    is not an integer >= 1, or the panel and factors disagree in shape or
+    hold non-finite values. OpenBLAS runs at one thread for the call.
     """
     cand = sorted(set(candidates))
     if not cand:
@@ -690,30 +704,17 @@ def _choose_designs(panel, factors, candidates, order: int) -> list[_Choice]:
     W = Y.shape[0]
     norms = _squared_norms(Y)
     scores = [{} for _ in range(W)]
-    best: list[_Best | None] = [None] * W
     for config in configs:
-        n = config.interior_knots
         try:
-            scored = [(0, bic_score(Y, f, config, _norms=norms))]
+            row = bic_score(Y, f, config, _norms=norms).tolist()
         except _UNUSABLE as exc:
-            parts = [exc] if W == 1 else [
+            row = [exc] if W == 1 else [
                 _score_or_error(Y[w : w + 1], f[w : w + 1], config, norms[w : w + 1])
                 for w in range(W)
             ]
-            scored = []
-            for w, part in enumerate(parts):
-                if isinstance(part, Exception):
-                    scores[w][n] = part
-                else:
-                    scored.append((w, part))
-        for first, (stacked, twins, projection) in scored:
-            for i, score in enumerate(stacked.tolist()):
-                w = first + i
-                scores[w][n] = score
-                # strictly less: a tie keeps the smaller count
-                if best[w] is None or score < best[w].score:
-                    best[w] = _Best(score, config, twins.take(i), projection[i].copy())
-    return [_Choice(scores[w], best[w], f[w]) for w in range(W)]
+        for table, score in zip(scores, row):
+            table[config.interior_knots] = score
+    return [_Choice(scores[w], f[w], order) for w in range(W)]
 
 
 def _score_knot_candidates(panel, factors, candidates, order: int) -> list[dict]:
@@ -755,12 +756,11 @@ def select_knots_bic(
     SingularDesignError if every candidate is unusable.
 
     `_design_out` is private to `run_all_tests`: a list that receives the
-    chosen design and the panel's Q_tilde' Y (`_Choice.design`), which the
-    battery then fits without factorizing the design again.
+    chosen design (`_Choice.design`), which the battery then fits.
     """
     if candidates is None:
         candidates = default_knot_candidates(np.asarray(panel).shape[0])
-    chosen = _choose_designs(panel, factors, candidates, order)[0].design()
+    design = _choose_designs(panel, factors, candidates, order)[0].design()
     if _design_out is not None:
-        _design_out.append(chosen)
-    return chosen[0].config.interior_knots
+        _design_out.append(design)
+    return design.config.interior_knots

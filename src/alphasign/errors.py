@@ -2,8 +2,8 @@
 
 Two broad families matter to callers: value/format errors (bad arguments,
 malformed input files) and numerical failures (rank-deficient designs,
-degenerate scale or variance estimates). The CLI maps the first family to
-exit code 2 and the second to exit code 3.
+degenerate scale or variance estimates, unconverged iterations). The CLI
+maps the first family to exit code 2 and the second to exit code 3.
 """
 
 import numpy as np
@@ -33,11 +33,16 @@ class DegenerateStatisticError(AlphaSignError, ArithmeticError):
     """A statistic's normalizer (trace, variance, moment denominator) is invalid."""
 
 
+class ConvergenceError(AlphaSignError, ArithmeticError):
+    """An iterative estimate exhausted its rounds before reaching its tolerance."""
+
+
 # The numerical family as one `except` tuple: the CLI maps it to exit 3, and
 # the Monte Carlo harness counts it, and only it, as a failed replication.
 NUMERICAL_ERRORS = (
     SingularDesignError,
     DegenerateScaleError,
     DegenerateStatisticError,
+    ConvergenceError,
     np.linalg.LinAlgError,
 )

@@ -263,7 +263,7 @@ def rolling_windows(
     knots "auto", each block selects its windows' knots in stacked chunks
     of consecutive windows (`basis._choose_designs`), which pick what
     `select_knots_bic` picks on each window alone, and each window's
-    battery starts from the factorization its search kept. window must
+    battery starts from the design its search chose. window must
     be an integer in [2, T]. A window's error is re-raised with its
     window number and rows prefixed.
     """

@@ -30,7 +30,12 @@ from .basis import (
     select_knots_bic,
 )
 from .blas import one_blas_thread
-from .errors import AlphaSignError, ContractError, DegenerateStatisticError
+from .errors import (
+    AlphaSignError,
+    ContractError,
+    ConvergenceError,
+    DegenerateStatisticError,
+)
 from .spatial import (
     MomentEstimates,
     SpatialLocation,
@@ -379,6 +384,17 @@ def cauchy_combine(p_values, truncated: bool) -> float:
     return 0.5 - math.atan(stat) / math.pi
 
 
+def _converged(loc: SpatialLocation, tol: float) -> SpatialLocation:
+    """loc, if its iteration reached the tolerance; else ConvergenceError,
+    so that no p-value comes from an unconverged estimate."""
+    if not loc.converged:
+        raise ConvergenceError(
+            f"not converged after max_iter={loc.iterations} rounds: "
+            f"estimating-equation residual {loc.eq_residual:.3g} > tol {tol:g}"
+        )
+    return loc
+
+
 @one_blas_thread()
 def run_all_tests(
     panel,
@@ -396,13 +412,13 @@ def run_all_tests(
     once on the centered-design residuals, and every statistic reuses
     those shared pieces. knots is either a fixed non-negative interior-knot
     count or "auto" for information-criterion selection over the default
-    candidates; anything else raises ContractError. With "auto" the design
-    is the one the knot search chose, built from the search's own
-    factorization, and the fit reuses the search's Q_tilde' Y; it equals
-    the design and fit at the chosen count. MNT's residual dof uses the
-    factor count p. Errors from any stage are re-raised with the stage
-    name prefixed. OpenBLAS runs at one thread for the call (see
-    `alphasign.blas`).
+    candidates; anything else raises ContractError. With "auto" the knot
+    search builds the chosen count's design with `build_design`, so the
+    design, the fit and every result equal those at that count. MNT's
+    residual dof uses the factor count p. A spatial median that has not
+    converged within max_iter rounds raises ConvergenceError. Errors from
+    any stage are re-raised with the stage name prefixed. OpenBLAS runs
+    at one thread for the call (see `alphasign.blas`).
 
     `_chosen` is private to `rolling_windows`: with knots "auto", this
     panel's `basis._Choice` from a knot search run on a stack of windows,
@@ -420,21 +436,20 @@ def run_all_tests(
             raise type(exc)(f"{name}: {exc}") from exc
 
     if knots == "auto" and _chosen is not None:
-        design, projection = _stage("knot-selection", _chosen.design)
+        design = _stage("knot-selection", _chosen.design)
     elif knots == "auto":
         chosen = []
         _stage(
             "knot-selection",
             lambda: select_knots_bic(Y, F, order=order, _design_out=chosen),
         )
-        [(design, projection)] = chosen
+        [design] = chosen
     else:
         design = _stage("design", lambda: build_design(F, SplineConfig(knots, order)))
-        projection = None
-    fit = _stage("fit", lambda: fit_panel(Y, design, _projection=projection))
+    fit = _stage("fit", lambda: fit_panel(Y, design))
     loc = _stage(
         "spatial-median",
-        lambda: spatial_median_scale(fit.residuals, tol=tol, max_iter=max_iter),
+        lambda: _converged(spatial_median_scale(fit.residuals, tol=tol, max_iter=max_iter), tol),
     )
     moments = _stage(
         "moments", lambda: moment_estimates(loc, design.omega_T)

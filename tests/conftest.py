@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from alphasign import pool
-from alphasign.basis import SplineConfig, build_design, fit_panel
+from alphasign.basis import SplineConfig, _uncentered_twins, build_design, fit_panel
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.stat_tests import TestResult
 
@@ -41,6 +41,18 @@ def row_signs():
         return out
 
     return signs
+
+
+def design_pair(design):
+    """The design pair (Z, Z_tilde) of a design, assembled from its factors
+    (`basis._uncentered_twins`); the centered twin Z has the intercept
+    block's column means taken out. No statistic reads either matrix, so a
+    design does not hold them; tests import this to check a design."""
+    Z_tilde = _uncentered_twins(design.factors[None], design.config)[0]
+    Z = Z_tilde.copy()
+    L = design.config.basis_dim
+    Z[:, :L] -= Z[:, :L].mean(axis=0)
+    return Z, Z_tilde
 
 
 @pytest.fixture(scope="session")

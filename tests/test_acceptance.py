@@ -60,6 +60,8 @@ from alphasign.harness import (
 from alphasign.spatial import spatial_median_scale
 from alphasign.stat_tests import cauchy_combine, gumbel_critical_value, gumbel_p_value
 
+from conftest import design_pair
+
 ACCEPT_SEED = 20260816
 GAMMA = 0.05
 ORACLE_DRAWS = 4000
@@ -325,10 +327,8 @@ def test_criterion_7_estimator_oracles():
         design = build_design(rng.standard_normal((T, p)), SplineConfig(n, order))
         Y = rng.standard_normal((T, N))
         fit = fit_panel(Y, design)
-        for Z, resid in (
-            (design.Z, fit.residuals),
-            (design.Z_tilde, fit.residuals_tilde),
-        ):
+        Z_c, Z_u = design_pair(design)
+        for Z, resid in ((Z_c, fit.residuals), (Z_u, fit.residuals_tilde)):
             coef = np.linalg.pinv(Z.T @ Z) @ (Z.T @ Y)
             worst_fit = max(worst_fit, float(np.max(np.abs(Y - Z @ coef - resid))))
 

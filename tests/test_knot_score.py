@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from alphasign import basis
 from alphasign.basis import (
+    RCOND_MIN,
     SplineConfig,
     _best_knots,
+    _choose_designs,
     _score_knot_candidates,
+    _uncentered_twins,
     bic_penalty,
     bic_score,
     build_design,
@@ -22,6 +26,8 @@ from alphasign.basis import (
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, DegenerateStatisticError, SingularDesignError
 from alphasign.stat_tests import run_all_tests
+
+from conftest import design_pair
 
 
 def _reference_bic_score(panel, factors, config):
@@ -58,7 +64,7 @@ def test_bic_score_near_exact_fit_matches_reference():
     rng = np.random.default_rng(77)
     factors = rng.standard_normal((120, 2))
     config = SplineConfig(3, 3)
-    Z_tilde = build_design(factors, config).Z_tilde
+    Z_tilde = design_pair(build_design(factors, config))[1]
     Y = Z_tilde @ rng.standard_normal((Z_tilde.shape[1], 15))
     Y += 1e-9 * rng.standard_normal(Y.shape)
     ref = _reference_bic_score(Y, factors, config)
@@ -245,3 +251,101 @@ def test_a_window_whose_only_usable_count_is_refused_fails_in_knot_selection(zer
     assert str(info.value).startswith(
         "knot-selection: no knot candidate produced a usable design: n=1: design leverage is 1"
     )
+
+
+def _zero_tail_tables():
+    """Each knot table (counts 0-8) of the zero-tail probe: examples 1-3,
+    N = 8, T = 70, the factors zeroed from row 31 or 46 on, the whole panel
+    and its 40-row windows starting every third row. The designs run from
+    well conditioned to exactly singular."""
+    tables = []
+    for example in (1, 2, 3):
+        sim = simulate_panel(
+            example, ErrorScenario("normal"), AlphaSpec(), 8, 70, np.random.default_rng(0)
+        )
+        for zero in (30, 45):
+            F = sim.factors.copy()
+            F[zero:] = 0.0
+            tables += _score_knot_candidates(sim.panel, F, range(9), 3)
+            Ys, Fs = _windows(sim.panel, F, 40)
+            tables += _score_knot_candidates(Ys[::3], Fs[::3], range(9), 3)
+    return tables
+
+
+@pytest.fixture
+def exact_checks(monkeypatch):
+    """The outcome of each exact rank check from here on: True when it
+    accepts the design, False when it raises."""
+    outcomes = []
+    check = basis._exact_rank_check
+
+    def recording_check(*args):
+        try:
+            check(*args)
+        except SingularDesignError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+
+    monkeypatch.setattr(basis, "_exact_rank_check", recording_check)
+    return outcomes
+
+
+def test_the_rank_screen_agrees_with_the_exact_check(exact_checks, monkeypatch):
+    # a design the screen certifies skips the singular values; the
+    # reference runs the exact check on every candidate, and the tables
+    # (scores, error classes and messages) must be the same
+    screened = _zero_tail_tables()
+    # the screen certified every usable design: each exact check refused
+    assert exact_checks and not any(exact_checks)
+    exact_checks.clear()
+    monkeypatch.setattr(basis, "_SCREEN_MARGIN", math.inf)
+    reference = _zero_tail_tables()
+    assert len(screened) == len(reference) == 72
+    usable = errors = 0
+    for got, want in zip(screened, reference):
+        assert list(got) == list(want)
+        for n, score in got.items():
+            if isinstance(want[n], Exception):
+                errors += 1
+                assert type(score) is type(want[n]) and str(score) == str(want[n])
+            else:
+                usable += 1
+                assert score == want[n]
+    assert usable > 100 and errors > 100
+    assert exact_checks.count(True) >= usable
+
+
+def test_a_design_near_the_rank_threshold_takes_the_exact_check(exact_checks):
+    # the factor is 1 + 3e-11 g, so its block nearly repeats the intercept
+    # block: rcond(Z_tilde) is about 5e-12, above RCOND_MIN, but the
+    # certified bound is below twice RCOND_MIN
+    rng = np.random.default_rng(3)
+    f = (1.0 + 3e-11 * rng.standard_normal(80))[:, None]
+    config = SplineConfig(1, 3)
+    s = np.linalg.svd(_uncentered_twins(f[None], config)[0], compute_uv=False)
+    assert RCOND_MIN < s[-1] / s[0] < 1e-10
+    build_design(f, config)
+    assert math.isfinite(bic_score(rng.standard_normal((80, 5)), f, config))
+    assert exact_checks == [True, True]
+
+
+def test_the_common_path_takes_no_singular_value_call(monkeypatch):
+    # a 4-window chunk of a rolling run: its search, each window's chosen
+    # design and battery, and a battery at a fixed count
+    sim = simulate_panel(1, ErrorScenario("t"), AlphaSpec(), 20, 303, np.random.default_rng(8))
+    Ys, Fs = _windows(sim.panel, sim.factors, 300)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    choices = _choose_designs(Ys, Fs, default_knot_candidates(300), 3)
+    for w, choice in enumerate(choices):
+        run_all_tests(Ys[w], Fs[w], _chosen=choice)
+    n = select_knots_bic(Ys[0], Fs[0])
+    run_all_tests(Ys[0], Fs[0], knots=n)
+    assert calls == []

@@ -24,6 +24,8 @@ from alphasign.basis import (
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import ContractError, SingularDesignError
 
+from conftest import design_pair
+
 
 def bspline_basis(config, knots, u):
     """The L basis function values at one point u, from the basis routine
@@ -110,31 +112,28 @@ def test_design_layout_and_h_invariants(small_design):
     L = design.config.basis_dim
     T = design.n_obs
     p = design.n_factors
-    assert design.Z.shape == (T, (1 + p) * L)
-    assert design.Z_tilde.shape == design.Z.shape
+    Z, Z_tilde = design_pair(design)
+    assert Z.shape == (T, (1 + p) * L)
+    assert Z_tilde.shape == Z.shape
     # centered intercept block: columns sum to zero
-    assert np.max(np.abs(design.Z[:, :L].sum(axis=0))) <= 1e-10
+    assert np.max(np.abs(Z[:, :L].sum(axis=0))) <= 1e-10
     # uncentered intercept block: rows sum to one
-    assert np.max(np.abs(design.Z_tilde[:, :L].sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(Z_tilde[:, :L].sum(axis=1) - 1.0)) <= 1e-12
     # factor blocks are shared between the twins
-    assert np.array_equal(design.Z[:, L:], design.Z_tilde[:, L:])
+    assert np.array_equal(Z[:, L:], Z_tilde[:, L:])
     # h is the annihilated ones vector: orthogonal to the span, norm omega_T
-    assert np.max(np.abs(design.Z.T @ design.h)) <= 1e-8
+    assert np.max(np.abs(Z.T @ design.h)) <= 1e-8
     assert design.omega_T == pytest.approx(float(design.h @ design.h), rel=1e-12)
     assert 0.0 < design.omega_T <= T
     # h is the annihilated ones vector of an oracle basis of Z's span
-    q = orth(design.Z)
+    q = orth(Z)
     assert q.shape[1] == design.n_columns - 1
     ones = np.ones(T)
     assert np.max(np.abs(ones - q @ (q.T @ ones) - design.h)) <= 1e-10
 
 
 def test_design_arrays_are_read_only(small_design):
-    # the stored bases were computed from Z and Z_tilde; neither may change
-    with pytest.raises(ValueError):
-        small_design.Z[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        small_design.Z_tilde[0, 0] = 1.0
+    # the stored basis and h were computed from the factors; none may change
     for arr in (small_design.h, small_design.Q_tilde, small_design.factors):
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -144,7 +143,7 @@ def test_design_arrays_are_read_only(small_design):
     Q = small_design.Q_tilde
     assert Q.shape == (small_design.n_obs, K)
     assert np.max(np.abs(Q.T @ Q - np.eye(K))) <= 1e-12
-    for Z in (small_design.Z_tilde, small_design.Z, small_design.h[:, None]):
+    for Z in (*design_pair(small_design), small_design.h[:, None]):
         assert np.max(np.abs(Z - Q @ (Q.T @ Z))) <= 1e-10 * np.max(np.abs(Z))
 
 
@@ -182,7 +181,7 @@ def test_fit_matches_brute_force_normal_equations():
         design = build_design(rng.standard_normal((T, p)), SplineConfig(n, order))
         Y = rng.standard_normal((T, N))
         fit = fit_panel(Y, design)
-        for Z, resid in ((design.Z, fit.residuals), (design.Z_tilde, fit.residuals_tilde)):
+        for Z, resid in zip(design_pair(design), (fit.residuals, fit.residuals_tilde)):
             coef = np.linalg.pinv(Z.T @ Z) @ (Z.T @ Y)
             assert np.max(np.abs(Y - Z @ coef - resid)) <= 1e-8
 
@@ -197,7 +196,7 @@ def test_rank_one_residuals_match_the_projection_oracle(example):
     sim = simulate_panel(ex, ErrorScenario("t"), AlphaSpec(), 20, 120, np.random.default_rng(11))
     F = sim.factors[:, :0] if example == "intercept only" else sim.factors
     design = build_design(F, SplineConfig(3, 3))
-    q_oracle = orth(design.Z)
+    q_oracle = orth(design_pair(design)[0])
     leverage = np.einsum("tk,tk->t", q_oracle, q_oracle)
     assert np.max(np.abs(_annihilator_diagonal(design) - (1.0 - leverage))) <= 1e-12
     Y = sim.panel
@@ -211,9 +210,9 @@ def test_rank_one_residuals_match_the_projection_oracle(example):
     )
 
 
-def test_fixed_knot_design_takes_two_singular_value_calls(small_sim, monkeypatch):
-    # one factorization per design: the QR of the uncentered twin, and one
-    # singular-value call per twin for its rank check; no SVD with vectors
+def test_fixed_knot_design_takes_no_singular_value_call(small_sim, monkeypatch):
+    # one factorization per design: the QR of the uncentered twin, whose
+    # triangular factor and its inverse certify both twins' ranks
     calls = []
     svd = np.linalg.svd
 
@@ -223,13 +222,14 @@ def test_fixed_knot_design_takes_two_singular_value_calls(small_sim, monkeypatch
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     build_design(small_sim.factors, SplineConfig(2, 3))
-    assert calls == [False, False]
+    assert calls == []
 
 
 def test_fit_residuals_orthogonal_to_design(small_design, small_fit):
     scale = np.max(np.abs(small_fit.residuals))
-    assert np.max(np.abs(small_design.Z.T @ small_fit.residuals)) <= 1e-8 * scale * small_design.n_obs
-    assert np.max(np.abs(small_design.Z_tilde.T @ small_fit.residuals_tilde)) <= 1e-8 * scale * small_design.n_obs
+    Z, Z_tilde = design_pair(small_design)
+    assert np.max(np.abs(Z.T @ small_fit.residuals)) <= 1e-8 * scale * small_design.n_obs
+    assert np.max(np.abs(Z_tilde.T @ small_fit.residuals_tilde)) <= 1e-8 * scale * small_design.n_obs
 
 
 def test_fit_input_guards(small_design):
@@ -333,4 +333,4 @@ def test_cached_basis_is_read_only_and_exact(small_design):
         B[0, 0] = 1.0
     direct = _basis_matrix(make_knots(2, 3), 3, np.arange(1, T + 1) / T)
     assert B.tobytes() == direct.tobytes()
-    assert np.array_equal(small_design.Z_tilde[:, : B.shape[1]], B)
+    assert np.array_equal(design_pair(small_design)[1][:, : B.shape[1]], B)

@@ -1,6 +1,7 @@
 """The six test statistics, their reference laws, and the combination rule."""
 
 import csv
+import functools
 import math
 from types import SimpleNamespace
 
@@ -15,7 +16,14 @@ from scipy.linalg import orth
 from alphasign import cli, panels
 from alphasign.basis import FitResult, SplineConfig, build_design, fit_panel, select_knots_bic
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
-from alphasign.errors import ContractError, DegenerateScaleError, DegenerateStatisticError
+from alphasign import harness
+from alphasign.errors import (
+    NUMERICAL_ERRORS,
+    ContractError,
+    ConvergenceError,
+    DegenerateScaleError,
+    DegenerateStatisticError,
+)
 from alphasign.spatial import MomentEstimates, SpatialLocation
 from alphasign.stat_tests import (
     REFERENCES,
@@ -36,6 +44,8 @@ from alphasign.stat_tests import (
     run_all_tests,
     trace_sigma_u_sq,
 )
+
+from conftest import design_pair
 
 GUMBEL_LOC = -math.log(math.pi)  # reference law exp(-exp(-y/2)/sqrt(pi))
 
@@ -173,7 +183,7 @@ def test_css_and_trace_match_the_sign_matrix_form(small_design, small_fit, row_s
 def test_css_design_corrections_match_manual_recomputation(small_sim, small_design, small_fit):
     design, fit = small_design, small_fit
     # independent annihilator from an orthonormal basis of the design span
-    Q = orth(design.Z)
+    Q = orth(design_pair(design)[0])
     T = design.n_obs
     M = np.eye(T) - Q @ Q.T
     d = np.diag(M).copy()
@@ -249,7 +259,7 @@ def _near_exact_fit_panel():
     # the panel of test_knot_score.test_bic_score_near_exact_fit_matches_reference
     rng = np.random.default_rng(77)
     factors = rng.standard_normal((120, 2))
-    Z_tilde = build_design(factors, SplineConfig(3, 3)).Z_tilde
+    Z_tilde = design_pair(build_design(factors, SplineConfig(3, 3)))[1]
     Y = Z_tilde @ rng.standard_normal((Z_tilde.shape[1], 15))
     Y += 1e-9 * rng.standard_normal(Y.shape)
     return Y, factors
@@ -427,6 +437,32 @@ def test_run_all_tests_auto_knots_and_stage_errors(small_sim):
     # into an estimate marked unconverged
     with pytest.raises(ContractError, match="^spatial-median: tol must be a finite number > 0"):
         run_all_tests(small_sim.panel, small_sim.factors, knots=2, tol=np.nan)
+
+
+def test_an_unconverged_spatial_median_fails_its_stage(small_sim, tmp_path, monkeypatch, capsys):
+    # one round leaves the estimating equations unsolved: the battery
+    # raises rather than return p-values from that estimate
+    with pytest.raises(
+        ConvergenceError,
+        match=r"^spatial-median: not converged after max_iter=1 rounds: .* > tol 1e-08$",
+    ) as info:
+        run_all_tests(small_sim.panel, small_sim.factors, knots=2, max_iter=1)
+    assert isinstance(info.value, NUMERICAL_ERRORS)
+    one_round = functools.partial(run_all_tests, max_iter=1)
+    # a Monte Carlo replication counts it as a failure
+    monkeypatch.setattr(harness, "run_all_tests", one_round)
+    config = harness.ExperimentConfig(
+        example=1, scenario=ErrorScenario("normal"), N=10, T=70, reps=1, seed=0, knots=1
+    )
+    assert harness._replication_pvalues((config, 0)) is None
+    # and the CLI exits with the numerical code
+    monkeypatch.setattr(cli, "run_all_tests", one_round)
+    paths = [str(tmp_path / name) for name in ("panel.csv", "factors.csv")]
+    panels.write_panel(paths[0], small_sim.panel, [f"A{i}" for i in range(small_sim.panel.shape[1])])
+    panels.write_panel(paths[1], small_sim.factors, ["MKT"])
+    capsys.readouterr()
+    assert cli.main(["test", *paths, "--knots", "2", "--out", str(tmp_path / "r.csv")]) == 3
+    assert "numerical failure: spatial-median: not converged" in capsys.readouterr().err
 
 
 # P-values and projection bias pinned before the fit and the bias were
