@@ -24,7 +24,9 @@ squares is ||R_tilde^-T Z_tilde' Y||^2, so no candidate forms a basis.
 It takes a stack of panels of one length (consecutive rolling windows)
 and factorizes its twins in one batched call; a single panel is a stack
 of one. The chosen count's design is then built by `build_design`, as a
-fixed count's is, so a chosen design equals the design at its count.
+fixed count's is, so a chosen design equals the design at its count. On a
+large panel, outside the worker pool's jobs, a kept helper thread scores
+about half of the candidates (`pool._both`), each to the same bits.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import ContractError, DegenerateStatisticError, SingularDesignError
+from .errors import ContractError, DegenerateStatisticError, SingularDesignError, _is_count
+from .pool import _both
 
 # Reciprocal condition number below which a design is treated as singular.
 RCOND_MIN = 1e-12
@@ -57,11 +60,6 @@ _RSS_FALLBACK = 1e-3
 # two panel lengths' default knot searches (8 candidates each), so every
 # window of a rolling run and every replication of a cell reuses them.
 _BASIS_CACHE_SIZE = 16
-
-
-def _is_count(value) -> bool:
-    """Whether value is an integer (a numpy integer too, but not a bool)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -509,12 +507,14 @@ class FitResult:
     up to one null direction. The twins' spans differ by h alone, so
     residuals = residuals_tilde + h (h'Y)' / h'h (see `fit_panel`).
     gram_tilde = residuals_tilde residuals_tilde' (T x T) is the only
-    residual gram a battery forms; HDA and CSS both read it.
+    residual gram a battery forms; HDA and CSS both read it. It is formed
+    here unless given; `run_all_tests` gives the one it formed beside the
+    spatial median.
     """
 
     residuals: np.ndarray
     residuals_tilde: np.ndarray
-    gram_tilde: np.ndarray = field(init=False, repr=False)
+    gram_tilde: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         E = self.residuals_tilde
@@ -523,7 +523,12 @@ class FitResult:
                 "residuals must be two T x N arrays of one shape, got "
                 f"{self.residuals.shape} and {E.shape}"
             )
-        object.__setattr__(self, "gram_tilde", E @ E.T)
+        if self.gram_tilde is None:
+            object.__setattr__(self, "gram_tilde", E @ E.T)
+        elif self.gram_tilde.shape != (E.shape[0],) * 2:
+            raise ContractError(
+                f"the residual gram must be T x T, got {self.gram_tilde.shape}"
+            )
         for arr in (self.residuals, self.residuals_tilde, self.gram_tilde):
             arr.flags.writeable = False
 
@@ -543,12 +548,18 @@ def fit_panel(panel, design: DesignMatrix) -> FitResult:
         raise ContractError(
             f"panel has {Y.shape[0]} rows but design expects {design.n_obs}"
         )
+    return FitResult(*_fit_residuals(Y, design))
+
+
+def _fit_residuals(Y: np.ndarray, design: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """`fit_panel`'s residuals and residuals_tilde, of a T x N panel that
+    is already checked and has the design's row count."""
     q = design.Q_tilde
     resid_tilde = _residual(Y, q, q.T @ Y)
     h = design.h
     resid = np.multiply.outer(h / float(h @ h), h @ Y)
     resid += resid_tilde
-    return FitResult(residuals=resid, residuals_tilde=resid_tilde)
+    return resid, resid_tilde
 
 
 def _residual(v, q, qv):
@@ -677,6 +688,19 @@ class _Choice(NamedTuple):
             self.scores[config.interior_knots] = refusal
 
 
+def _halves(configs: list) -> tuple[list, list]:
+    """configs in two lists of about equal cost, each in the given order. A
+    candidate's scoring costs about its column count K, through the T x K
+    by T x N product Z_tilde' Y, so each count goes, largest first, to the
+    list with the smaller sum of K so far."""
+    sides, loads = ([], []), [0, 0]
+    for config in sorted(configs, key=lambda c: c.basis_dim, reverse=True):
+        side = loads.index(min(loads))
+        sides[side].append(config)
+        loads[side] += config.basis_dim
+    return tuple(sorted(side, key=configs.index) for side in sides)
+
+
 @one_blas_thread()
 def _choose_designs(panel, factors, candidates, order: int) -> list[_Choice]:
     """Score each distinct candidate knot count on a panel, or on every
@@ -687,31 +711,51 @@ def _choose_designs(panel, factors, candidates, order: int) -> list[_Choice]:
     Each candidate is scored on the whole stack by one `bic_score` call,
     from its twins' triangular factors alone; a candidate unusable on some
     panel is rescored panel by panel. Every call reads the panels' squared
-    norms, taken once. Candidates with too few observations or singular
-    designs are unusable. Raises ContractError if the candidate set is
-    empty or holds a count that is not a non-negative integer, the order
-    is not an integer >= 1, or the panel and factors disagree in shape or
-    hold non-finite values. OpenBLAS runs at one thread for the call.
+    norms, taken once. On a large stack the kept helper thread scores about
+    half of the candidates, balanced by cost (`_halves`, `pool._both`);
+    each score is the same either way. Candidates with too few
+    observations or singular designs are unusable; any other error a
+    candidate raises is raised for the first such candidate in ascending
+    order. Raises ContractError if the candidate set is empty or holds a
+    count that is not a non-negative integer, the order is not an integer
+    >= 1, or the panel and factors disagree in shape or hold non-finite
+    values. OpenBLAS runs at one thread for the call.
     """
     cand = sorted(set(candidates))
     if not cand:
         raise ContractError("candidate set for knot selection is empty")
     # Input errors are the caller's, not a candidate's: raise them here, so
-    # the loop below only meets a candidate's own failures (too few
+    # the scoring below only meets a candidate's own failures (too few
     # observations or a singular design).
     configs = [SplineConfig(n, order) for n in cand]
     Y, f = _panel_stack(panel, factors)
     W = Y.shape[0]
     norms = _squared_norms(Y)
+
+    def rows(share):
+        """Each candidate's W scores or errors, or what it raised instead."""
+        out = []
+        for config in share:
+            try:
+                row = bic_score(Y, f, config, _norms=norms).tolist()
+            except _UNUSABLE as exc:
+                row = [exc] if W == 1 else [
+                    _score_or_error(Y[w : w + 1], f[w : w + 1], config, norms[w : w + 1])
+                    for w in range(W)
+                ]
+            except Exception as exc:  # raised below, in candidate order
+                row = exc
+            out.append(row)
+        return out
+
+    theirs, mine = _halves(configs)
+    rows_theirs, rows_mine = _both(lambda: rows(theirs), lambda: rows(mine), Y.size)
+    outcomes = dict(zip(theirs + mine, rows_theirs + rows_mine))
     scores = [{} for _ in range(W)]
     for config in configs:
-        try:
-            row = bic_score(Y, f, config, _norms=norms).tolist()
-        except _UNUSABLE as exc:
-            row = [exc] if W == 1 else [
-                _score_or_error(Y[w : w + 1], f[w : w + 1], config, norms[w : w + 1])
-                for w in range(W)
-            ]
+        row = outcomes[config]
+        if isinstance(row, Exception):
+            raise row
         for table, score in zip(scores, row):
             table[config.interior_knots] = score
     return [_Choice(scores[w], f[w], order) for w in range(W)]
@@ -744,9 +788,7 @@ def _best_knots(scores: dict) -> int:
     return min(usable, key=usable.__getitem__)
 
 
-def select_knots_bic(
-    panel, factors, candidates=None, order: int = 3, *, _design_out=None
-) -> int:
+def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
     """Pick the interior-knot count minimizing the information criterion.
 
     Candidates with too few observations or singular designs are skipped,
@@ -754,13 +796,7 @@ def select_knots_bic(
     or a row of leverage 1); ties break toward the smaller knot count.
     Raises ContractError on mismatched or non-finite inputs and
     SingularDesignError if every candidate is unusable.
-
-    `_design_out` is private to `run_all_tests`: a list that receives the
-    chosen design (`_Choice.design`), which the battery then fits.
     """
     if candidates is None:
         candidates = default_knot_candidates(np.asarray(panel).shape[0])
-    design = _choose_designs(panel, factors, candidates, order)[0].design()
-    if _design_out is not None:
-        _design_out.append(design)
-    return design.config.interior_knots
+    return _choose_designs(panel, factors, candidates, order)[0].design().config.interior_knots

@@ -9,6 +9,17 @@ the slowest core and the spinning competes with the single-threaded
 NumPy work around it. `one_blas_thread` runs a block with OpenBLAS at one
 thread and restores the previous count when the block exits.
 
+A battery uses a second core in whole pieces of work instead. The
+replications, windows and file blocks of `pool._map_in_order` run on
+several processes. A battery outside those jobs, on a panel of at least
+`pool._MIN_HELPER_CELLS` cells, hands half of its knot candidates and its
+T x T residual gram to one kept helper thread (`pool._both`), whose BLAS
+calls run at the one thread the battery set, so every product gets the
+code and the inputs it gets in one thread, bit for bit. The battery
+waits for the helper before its block exits. At N = 1000, T = 600 the
+battery takes about 29 ms instead of 41 (2-vCPU VM), and the helper's
+malloc arena adds about 1.8 MB to the peak resident set.
+
 NumPy has no call that sets its BLAS thread count, so the OpenBLAS it
 loaded is found among the shared objects this process has mapped and
 driven through ctypes, as threadpoolctl does. Where that library cannot

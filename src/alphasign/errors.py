@@ -9,6 +9,12 @@ maps the first family to exit code 2 and the second to exit code 3.
 import numpy as np
 
 
+def _is_count(value) -> bool:
+    """Whether value is an integer (a numpy integer too, but not a bool): the
+    test behind every count a ContractError guards."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class AlphaSignError(Exception):
     """Base class for all package-specific errors."""
 

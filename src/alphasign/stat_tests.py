@@ -24,10 +24,11 @@ from .basis import (
     _check_h_norm,
     _check_knots,
     _Choice,
+    _choose_designs,
+    _fit_residuals,
     _panel_and_factors,
     build_design,
-    fit_panel,
-    select_knots_bic,
+    default_knot_candidates,
 )
 from .blas import one_blas_thread
 from .errors import (
@@ -36,6 +37,7 @@ from .errors import (
     ConvergenceError,
     DegenerateStatisticError,
 )
+from .pool import _both
 from .spatial import (
     MomentEstimates,
     SpatialLocation,
@@ -420,6 +422,12 @@ def run_all_tests(
     any stage are re-raised with the stage name prefixed. OpenBLAS runs
     at one thread for the call (see `alphasign.blas`).
 
+    The panel is scanned for non-finite values once, here. On a large
+    panel the kept helper thread (`pool._both`) scores half of the knot
+    candidates and forms the fit's T x T gram while this thread runs the
+    spatial median; every result and every error is the same as in one
+    thread.
+
     `_chosen` is private to `rolling_windows`: with knots "auto", this
     panel's `basis._Choice` from a knot search run on a stack of windows,
     which then stands in for the search here.
@@ -438,19 +446,29 @@ def run_all_tests(
     if knots == "auto" and _chosen is not None:
         design = _stage("knot-selection", _chosen.design)
     elif knots == "auto":
-        chosen = []
-        _stage(
+        # as a stack of one the panel is not scanned again
+        candidates = default_knot_candidates(T)
+        design = _stage(
             "knot-selection",
-            lambda: select_knots_bic(Y, F, order=order, _design_out=chosen),
+            lambda: _choose_designs(Y[None], F[None], candidates, order)[0].design(),
         )
-        [design] = chosen
     else:
         design = _stage("design", lambda: build_design(F, SplineConfig(knots, order)))
-    fit = _stage("fit", lambda: fit_panel(Y, design))
-    loc = _stage(
-        "spatial-median",
-        lambda: _converged(spatial_median_scale(fit.residuals, tol=tol, max_iter=max_iter), tol),
+    residuals, residuals_tilde = _stage("fit", lambda: _fit_residuals(Y, design))
+    # the spatial median reads the residuals alone, so the gram, which HDA
+    # and CSS read, is formed beside it; this thread allocates it, so that
+    # it comes from the heap the battery's other arrays use, not from the
+    # helper thread's malloc arena
+    gram = np.empty((T, T))
+    _, loc = _both(
+        lambda: np.matmul(residuals_tilde, residuals_tilde.T, out=gram),
+        lambda: _stage(
+            "spatial-median",
+            lambda: _converged(spatial_median_scale(residuals, tol=tol, max_iter=max_iter), tol),
+        ),
+        Y.size,
     )
+    fit = FitResult(residuals, residuals_tilde, gram)
     moments = _stage(
         "moments", lambda: moment_estimates(loc, design.omega_T)
     )

@@ -1,5 +1,9 @@
 """Shared fixtures: one small simulated panel and its sieve fit."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -41,6 +45,19 @@ def row_signs():
         return out
 
     return signs
+
+
+def exit_code(pid: int, timeout: float = 60.0) -> int:
+    """The exit code of child pid, killing it if it runs past timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    raise AssertionError(f"child {pid} did not exit within {timeout} s")
 
 
 def design_pair(design):

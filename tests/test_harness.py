@@ -5,7 +5,6 @@ import re
 import signal
 import sys
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
@@ -27,6 +26,7 @@ from alphasign.harness import (
     run_replication_results,
 )
 from alphasign.stat_tests import TEST_NAMES, run_all_tests
+from conftest import exit_code
 
 
 def _tiny_config(**overrides):
@@ -287,19 +287,6 @@ def test_a_pool_of_another_size_replaces_the_kept_one(pools):
     assert np.array_equal(three.p_values, serial.p_values)
 
 
-def _exit_code(pid: int, timeout: float = 60.0) -> int:
-    """The exit code of child pid, killing it if it runs past timeout."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        time.sleep(0.05)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-    raise AssertionError(f"child {pid} did not exit within {timeout} s")
-
-
 def test_a_forked_child_never_submits_to_the_parents_pool(pools):
     import alphasign.pool as pool
 
@@ -321,7 +308,7 @@ def test_a_forked_child_never_submits_to_the_parents_pool(pools):
             code = 0
         finally:
             os._exit(code)
-    assert _exit_code(pid) == 0
+    assert exit_code(pid) == 0
     # the parent's pool is still kept and still serves
     assert pool._map_in_order(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
     assert pools.made == [kept] and pools.shut == []

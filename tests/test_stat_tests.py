@@ -295,6 +295,13 @@ def test_fit_owns_one_read_only_gram(small_fit):
         assert not arr.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         small_fit.gram_tilde[0, 0] = 0.0
+    # a gram formed elsewhere (the battery forms one beside the spatial
+    # median) is kept, read-only, if it is T x T
+    given = FitResult(small_fit.residuals, E_tilde, E_tilde @ E_tilde.T)
+    assert np.array_equal(given.gram_tilde, small_fit.gram_tilde)
+    assert not given.gram_tilde.flags.writeable
+    with pytest.raises(ContractError, match="residual gram must be T x T"):
+        FitResult(small_fit.residuals, E_tilde, E_tilde.T @ E_tilde)
 
 
 def test_mnt_statistic_hand_case():
@@ -437,6 +444,27 @@ def test_run_all_tests_auto_knots_and_stage_errors(small_sim):
     # into an estimate marked unconverged
     with pytest.raises(ContractError, match="^spatial-median: tol must be a finite number > 0"):
         run_all_tests(small_sim.panel, small_sim.factors, knots=2, tol=np.nan)
+
+
+@pytest.mark.parametrize("knots", ["auto", 2])
+def test_a_battery_scans_its_panel_for_non_finite_values_once(small_sim, knots, monkeypatch):
+    # the knot search and the fit read the panel the battery checked on
+    # entry, so the panel is scanned once
+    panel = small_sim.panel
+    isfinite, scans = np.isfinite, []
+
+    def spy(x, *args, **kwargs):
+        if np.may_share_memory(x, panel):
+            scans.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    run_all_tests(panel, small_sim.factors, knots=knots)
+    assert scans == [panel.shape]
+    bad = panel.copy()
+    bad[5, 3] = np.nan
+    with pytest.raises(ContractError, match="^panel contains non-finite values$"):
+        run_all_tests(bad, small_sim.factors, knots=knots)
 
 
 def test_an_unconverged_spatial_median_fails_its_stage(small_sim, tmp_path, monkeypatch, capsys):
