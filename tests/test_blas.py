@@ -79,9 +79,9 @@ def test_knot_search_runs_at_one_blas_thread(small_sim, monkeypatch):
 
 @needs_openblas
 def test_a_replication_does_not_depend_on_the_callers_thread_count():
-    # at N = 400 a simulated panel drawn at two OpenBLAS threads differs
-    # from one drawn at one thread in the last bits, so a replication runs
-    # its simulation as well as its battery at one thread
+    # at N = 400 a battery at two OpenBLAS threads (and an icm draw)
+    # differs from one at one thread in the last bits, so a replication
+    # runs its simulation as well as its battery at one thread
     config = ExperimentConfig(
         example=1, scenario=ErrorScenario("normal"), N=400, T=350, reps=1, seed=1, knots=2
     )
@@ -100,28 +100,29 @@ def test_a_replication_does_not_depend_on_the_callers_thread_count():
 
 @needs_openblas
 def test_error_covariance_factors_do_not_depend_on_the_thread_count():
-    # the factors are cached per N, so the thread count of the first call
-    # would otherwise reach every later draw at that N
+    # the icm root, the one factor of the covariance a draw keeps, is
+    # cached per N, so the thread count of the first call would otherwise
+    # reach every later icm draw at that N
     get, set_ = controls
     before = get()
-    factors = {}
+    roots = {}
     try:
         for threads in (2, 1):
             set_(threads)
-            dgp._error_cov_factors.cache_clear()
-            factors[threads] = dgp._error_cov_factors(200)
+            dgp._icm_root.cache_clear()
+            roots[threads] = dgp._icm_root(200)
     finally:
         set_(before)
-        dgp._error_cov_factors.cache_clear()
-    for two, one in zip(factors[2], factors[1]):
-        assert np.array_equal(two, one)
+        dgp._icm_root.cache_clear()
+    assert np.array_equal(roots[2], roots[1])
 
 
 @needs_openblas
 @pytest.mark.parametrize("N", [400, 1000])
 def test_a_direct_draw_is_the_harness_draw(N):
-    # at these N a two-thread draw differs from a one-thread draw in the
-    # last bits, so simulate_panel runs at one thread, as the harness does
+    # a t draw's blocked recursion gives the same bits at one and two
+    # threads, but an icm draw's product with the root does not, so
+    # simulate_panel runs at one thread, as the harness does
     config = ExperimentConfig(
         example=1, scenario=ErrorScenario("t"), N=N, T=120, reps=3, seed=4, knots=2
     )

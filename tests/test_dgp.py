@@ -1,10 +1,12 @@
 """Simulation engine: factor paths, loadings, error laws, intercept injection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import alphasign.dgp as dgp
 from alphasign.dgp import (
     BURN_IN,
     ERROR_SCENARIO_KINDS,
@@ -115,6 +117,69 @@ def test_normal_errors_match_target_covariance():
     draws = gen_errors(ErrorScenario("normal"), 2, 200_000, np.random.default_rng(0))
     emp = np.cov(draws.T)
     assert np.max(np.abs(emp - error_covariance(2))) < 0.02
+
+
+B = dgp._AR_BLOCK
+
+
+@pytest.mark.parametrize("N", [1, 2, B - 1, B, B + 1, 2 * B + 1, 200, 1000])
+def test_normal_errors_are_the_cholesky_product(N):
+    # the blocked recursion draws the law z @ L.T of the Cholesky factor L
+    # from the same normals, up to the order of the sums
+    T = 40
+    z = np.random.default_rng(N).standard_normal((T, N))
+    dense = z @ np.linalg.cholesky(error_covariance(N)).T
+    drawn = gen_errors(ErrorScenario("normal"), N, T, np.random.default_rng(N))
+    assert np.array_equal(drawn[:, 0], z[:, 0])
+    assert np.max(np.abs(drawn - dense)) <= 1e-14
+
+
+def test_normal_errors_match_target_covariance_across_a_block_edge():
+    N = B + 2  # the last block is the single column B + 1
+    draws = gen_errors(ErrorScenario("normal"), N, 100_000, np.random.default_rng(0))
+    emp = np.cov(draws.T)
+    assert np.max(np.abs(emp - error_covariance(N))) < 0.025
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Sizes of the matrices each draw hands to np.linalg.cholesky and eigh."""
+    calls = []
+    for name in ("cholesky", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def spy(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, len(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    dgp._icm_root.cache_clear()
+    yield calls
+    dgp._icm_root.cache_clear()
+
+
+def test_only_icm_draws_factor_the_covariance(linalg_calls):
+    for kind in ("normal", "t", "mixture"):
+        simulate_panel(1, ErrorScenario(kind), AlphaSpec(2, 1.0), 300, 30,
+                       np.random.default_rng(1))
+    assert linalg_calls == []
+    for N in (5, 7, 5, 7):
+        gen_errors(ErrorScenario("icm"), N, 30, np.random.default_rng(1))
+    assert linalg_calls == [("eigh", 5), ("eigh", 7)]  # once per N, then cached
+
+
+def test_a_large_draw_holds_no_n_by_n_matrix():
+    # the panel, the intercept array and small buffers; an N x N matrix
+    # alone would take 8 MB here
+    N, T = 1000, 60
+    tracemalloc.start()
+    try:
+        simulate_panel(1, ErrorScenario("t"), AlphaSpec(2, 1.0), N, T,
+                       np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * T * N * 8 + (1 << 20)
 
 
 def test_mixture_with_kappa_one_is_exactly_normal():
