@@ -551,6 +551,53 @@ def test_cli_knots_table(cli_files):
     assert _read_result_rows(dup) == rows
 
 
+def _window_files(root, Y, F, first):
+    """The 40-row window starting at 1-based row `first` as a CSV pair."""
+    paths = str(root / f"w{first}.csv"), str(root / f"w{first}_factors.csv")
+    write_panel(paths[0], Y[first - 1 : first + 39], [f"A{i}" for i in range(Y.shape[1])])
+    write_panel(paths[1], F[first - 1 : first + 39], ["MKT"])
+    return paths
+
+
+def test_cli_knots_marks_a_refused_count_and_selects_the_auto_count(
+    refused_count_panel, tmp_path
+):
+    # window 9's best-scored count, 7, has a design the sum-type sign test
+    # refuses: its row keeps an empty score, and the selected count is the
+    # one `test --knots auto` runs at
+    panel, factors = _window_files(tmp_path, *refused_count_panel, 9)
+    out = str(tmp_path / "knots.csv")
+    assert main(["knots", panel, factors, "--out", out]) == 0
+    rows = _read_result_rows(out)[1:]
+    assert [r[0] for r in rows] == [str(n) for n in range(1, 8)]
+    assert rows[6][2] == ""
+    assert all(float(r[2]) for r in rows[:6])
+    selected = [r[0] for r in rows if r[3] == "1"]
+    assert selected == ["5"]
+    auto, fixed = str(tmp_path / "auto.csv"), str(tmp_path / "fixed.csv")
+    assert main(["test", panel, factors, "--knots", "auto", "--out", auto]) == 0
+    assert main(["test", panel, factors, "--knots", selected[0], "--out", fixed]) == 0
+    assert _read_result_rows(auto) == _read_result_rows(fixed)
+
+
+def test_cli_knots_with_no_usable_count_is_a_numerical_failure(
+    zero_tail_panel, tmp_path, capsys
+):
+    # from window 25 on no count is usable: the factor is zero on too many
+    # of the window's rows, and the one count whose design exists (n = 1)
+    # is refused by the sum-type sign test
+    panel, factors = _window_files(tmp_path, *zero_tail_panel, 25)
+    capsys.readouterr()
+    assert main(["knots", panel, factors]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "alphasign: numerical failure: no knot candidate produced a usable design: "
+    assert captured.err.startswith(prefix)
+    assert [part.split(":")[0] for part in captured.err[len(prefix):].split("; ")] == [
+        f"n={n}" for n in range(1, 8)
+    ]
+
+
 def test_cli_simulate_size(cli_files):
     out = str(cli_files["root"] / "size.csv")
     code = main(
