@@ -13,12 +13,12 @@ based CLI sit on top.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .basis import (
     DesignMatrix,
     FitResult,
     SplineConfig,
-    bic_penalty,
-    bic_score,
     build_design,
     default_knot_candidates,
     fit_panel,
@@ -34,14 +34,6 @@ from .dgp import (
     ErrorScenario,
     FactorSpec,
     SimulatedPanel,
-    ar_garch_path,
-    assemble_panel,
-    error_covariance,
-    gen_alpha,
-    gen_errors,
-    gen_loadings,
-    latent_state_path,
-    logistic_g,
     simulate_panel,
 )
 from .errors import (
@@ -78,11 +70,16 @@ from .stat_tests import (
     css_test,
     gumbel_critical_value,
     gumbel_p_value,
-    hda_j_stat,
     hda_test,
     mnt_test,
     run_all_tests,
     trace_sigma_u_sq,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing a name from a submodule binds the submodule here too; the
+# public names are the imported functions, classes and constants alone.
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -569,7 +569,7 @@ def _residual(v, q, qv):
     return np.subtract(v, out, out=out)
 
 
-def bic_penalty(N: int, T: int, n_factors: int, config: SplineConfig) -> float:
+def _bic_penalty(N: int, T: int, n_factors: int, config: SplineConfig) -> float:
     """Complexity charge log(NT)/(NT) * (p+1) * L used by the knot criterion."""
     nt = N * T
     return math.log(nt) / nt * (n_factors + 1) * config.basis_dim
@@ -605,7 +605,7 @@ def bic_score(panel, factors, config: SplineConfig, *, _norms=None):
     norms = _squared_norms(Y) if _norms is None else _norms
     twins = _factor_twins(f, config)
     fitted = np.swapaxes(twins.R_inv, 1, 2) @ (np.swapaxes(twins.Z_tilde, 1, 2) @ Y)
-    penalty = bic_penalty(N, T, f.shape[2], config)
+    penalty = _bic_penalty(N, T, f.shape[2], config)
     scores = np.empty(W)
     for w, yy in enumerate(norms):
         rss = yy - float(np.vdot(fitted[w], fitted[w]))
@@ -657,35 +657,46 @@ def _score_or_error(panel, factors, config: SplineConfig, norms):
         return exc
 
 
-class _Choice(NamedTuple):
-    """One panel's outcome of the knot search: its table of {n: score, or
-    the error that makes candidate n unusable}, keyed in ascending n, its
-    factors and the spline order. `design` builds the chosen design."""
+class _KnotSearch(NamedTuple):
+    """One panel's knot search. `table` is {n: score, or the error that
+    makes candidate n unusable}, keyed in ascending n, where a count whose
+    design the sum-type sign test refuses holds that test's error.
+    `outcome` is the chosen design, or the SingularDesignError that lists
+    each candidate's error when no count is usable."""
 
-    scores: dict
-    factors: np.ndarray
-    order: int
+    table: dict
+    outcome: DesignMatrix | SingularDesignError
 
-    @one_blas_thread()
     def design(self) -> DesignMatrix:
-        """The chosen design, built by `build_design` at the best count, so
-        it equals the design at that count. OpenBLAS runs at one thread for
-        the call, as in the search.
+        """The chosen design; raises the search's error if there is none."""
+        if isinstance(self.outcome, SingularDesignError):
+            raise self.outcome
+        return self.outcome
 
-        The design must be one the sum-type sign test accepts
-        (`_sign_test_refusal`); if not, its count is marked unusable in
-        `scores` with that test's error, and the next count in score order
-        is built (this is rare), until a design is accepted. Raises
-        SingularDesignError, listing each candidate's error, when no count
-        is left.
-        """
-        while True:
-            config = SplineConfig(_best_knots(self.scores), self.order)
-            design = build_design(self.factors, config)
-            refusal = _sign_test_refusal(design)
-            if refusal is None:
-                return design
-            self.scores[config.interior_knots] = refusal
+
+def _chosen_design(
+    table: dict, factors: np.ndarray, order: int
+) -> DesignMatrix | SingularDesignError:
+    """The design at the count of least score in one panel's table, ties
+    to the smaller count, built by `build_design`, so it equals the design
+    at that count. It must be one the sum-type sign test accepts
+    (`_sign_test_refusal`); if not, its count is marked unusable in the
+    table with that test's error, and the next count in score order is
+    built (this is rare). Returns, not raises, the SingularDesignError
+    listing each candidate's error when no count is left."""
+    while True:
+        usable = {n: s for n, s in table.items() if not isinstance(s, Exception)}
+        if not usable:
+            return SingularDesignError(
+                "no knot candidate produced a usable design: "
+                + "; ".join(f"n={n}: {exc}" for n, exc in table.items())
+            )
+        n = min(usable, key=usable.__getitem__)
+        design = build_design(factors, SplineConfig(n, order))
+        refusal = _sign_test_refusal(design)
+        if refusal is None:
+            return design
+        table[n] = refusal
 
 
 def _halves(configs: list) -> tuple[list, list]:
@@ -702,11 +713,12 @@ def _halves(configs: list) -> tuple[list, list]:
 
 
 @one_blas_thread()
-def _choose_designs(panel, factors, candidates, order: int) -> list[_Choice]:
-    """Score each distinct candidate knot count on a panel, or on every
-    panel of a (W, T, N) stack with its (W, T, p) factors; returns one
-    `_Choice` per panel (a single panel is a stack of one), whose `design`
-    builds the panel's chosen design.
+def _knot_search(panel, factors, candidates=None, order: int = 3) -> list[_KnotSearch]:
+    """Search the candidate knot counts on a panel, or on every panel of a
+    (W, T, N) stack with its (W, T, p) factors; returns one `_KnotSearch`
+    per panel (a single panel is a stack of one), holding its table and
+    its chosen design (`_chosen_design`). candidates defaults to
+    `default_knot_candidates(T)`.
 
     Each candidate is scored on the whole stack by one `bic_score` call,
     from its twins' triangular factors alone; a candidate unusable on some
@@ -721,15 +733,15 @@ def _choose_designs(panel, factors, candidates, order: int) -> list[_Choice]:
     >= 1, or the panel and factors disagree in shape or hold non-finite
     values. OpenBLAS runs at one thread for the call.
     """
-    cand = sorted(set(candidates))
+    Y, f = _panel_stack(panel, factors)
+    W, T = Y.shape[:2]
+    cand = sorted(set(default_knot_candidates(T) if candidates is None else candidates))
     if not cand:
         raise ContractError("candidate set for knot selection is empty")
     # Input errors are the caller's, not a candidate's: raise them here, so
     # the scoring below only meets a candidate's own failures (too few
     # observations or a singular design).
     configs = [SplineConfig(n, order) for n in cand]
-    Y, f = _panel_stack(panel, factors)
-    W = Y.shape[0]
     norms = _squared_norms(Y)
 
     def rows(share):
@@ -751,52 +763,29 @@ def _choose_designs(panel, factors, candidates, order: int) -> list[_Choice]:
     theirs, mine = _halves(configs)
     rows_theirs, rows_mine = _both(lambda: rows(theirs), lambda: rows(mine), Y.size)
     outcomes = dict(zip(theirs + mine, rows_theirs + rows_mine))
-    scores = [{} for _ in range(W)]
+    tables = [{} for _ in range(W)]
     for config in configs:
         row = outcomes[config]
         if isinstance(row, Exception):
             raise row
-        for table, score in zip(scores, row):
+        for table, score in zip(tables, row):
             table[config.interior_knots] = score
-    return [_Choice(scores[w], f[w], order) for w in range(W)]
-
-
-def _score_knot_candidates(panel, factors, candidates, order: int) -> list[dict]:
-    """Each panel's table of scores from `_choose_designs`, where a count
-    whose design the sum-type sign test refuses is marked unusable, as
-    `_Choice.design` marks it."""
-    tables = []
-    for choice in _choose_designs(panel, factors, candidates, order):
-        try:
-            choice.design()
-        except SingularDesignError:
-            pass  # no usable count: every entry of the table is an error
-        tables.append(choice.scores)
-    return tables
-
-
-def _best_knots(scores: dict) -> int:
-    """The knot count of least score in one panel's table of scores, ties
-    to the smaller count. Raises SingularDesignError, listing each
-    candidate's error, when no candidate is usable."""
-    usable = {n: s for n, s in scores.items() if not isinstance(s, Exception)}
-    if not usable:
-        raise SingularDesignError(
-            "no knot candidate produced a usable design: "
-            + "; ".join(f"n={n}: {exc}" for n, exc in scores.items())
-        )
-    return min(usable, key=usable.__getitem__)
+    return [
+        _KnotSearch(table, _chosen_design(table, f[w], order)) for w, table in enumerate(tables)
+    ]
 
 
 def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
-    """Pick the interior-knot count minimizing the information criterion.
+    """Pick the interior-knot count minimizing the information criterion on
+    one T x N panel (`_knot_search`).
 
     Candidates with too few observations or singular designs are skipped,
     and so is a count whose design the sum-type sign test refuses (h'h <= 1
     or a row of leverage 1); ties break toward the smaller knot count.
-    Raises ContractError on mismatched or non-finite inputs and
+    candidates defaults to `default_knot_candidates(T)`. Raises
+    ContractError on a panel that is not a T x N matrix (a stack of
+    panels too) or on mismatched or non-finite inputs, and
     SingularDesignError if every candidate is unusable.
     """
-    if candidates is None:
-        candidates = default_knot_candidates(np.asarray(panel).shape[0])
-    return _choose_designs(panel, factors, candidates, order)[0].design().config.interior_knots
+    Y, f = _panel_and_factors(panel, factors)
+    return _knot_search(Y[None], f[None], candidates, order)[0].design().config.interior_knots

@@ -352,21 +352,16 @@ def _cmd_rolling(args) -> int:
 def _cmd_knots(args) -> int:
     panel = panels.read_panel(args.panel)
     factors = panels.read_factors(args.factors)
-    if args.candidates:
-        candidates = _parse_candidates(args.candidates)
-    else:
-        candidates = basis.default_knot_candidates(panel.values.shape[0])
-    scores = basis._score_knot_candidates(
-        panel.values, factors.values, candidates, args.order
-    )[0]
-    best = basis._best_knots(scores)
+    candidates = _parse_candidates(args.candidates) if args.candidates else None
+    search = basis._knot_search(panel.values, factors.values, candidates, args.order)[0]
+    best = search.design().config.interior_knots
     prov = panels.provenance_line(
         {
             "command": "knots",
             "panel": args.panel,
             "factors": args.factors,
             "order": args.order,
-            "candidates": ",".join(str(n) for n in scores),
+            "candidates": ",".join(str(n) for n in search.table),
         }
     )
     rows = [
@@ -376,7 +371,7 @@ def _cmd_knots(args) -> int:
             "" if isinstance(score, Exception) else panels.format_float(score),
             int(n == best),
         ]
-        for n, score in scores.items()
+        for n, score in search.table.items()
     ]
     panels.write_table(args.out, ["n", "basis_dim", "bic", "selected"], rows, [prov])
     return 0

@@ -18,17 +18,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import (
-    _check_knots,
-    _choose_designs,
-    _is_count,
-    _panel_and_factors,
-    default_knot_candidates,
-    select_knots_bic,
-)
+from .basis import _check_knots, _knot_search, _panel_and_factors, select_knots_bic
 from .blas import one_blas_thread
 from .dgp import AlphaSpec, ErrorScenario, simulate_panel
-from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError
+from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError, _is_count
 from .pool import _map_in_order, _worker_count
 from .stat_tests import TEST_NAMES, TestResult, run_all_tests
 
@@ -199,13 +192,13 @@ _KNOT_CHUNK = 4
 
 
 def _chunk_choices(Ys, Fs, order: int) -> list:
-    """Each window's `basis._Choice` from one stacked search over the
+    """Each window's `basis._KnotSearch` from one stacked search over the
     windows Ys, Fs, or None for every window if the search itself fails:
     run alone, each window then raises its own error under its own stage.
-    A window with no usable count raises from its `_Choice`, with the
-    error its own search raises."""
+    A window with no usable count raises from its record, with the error
+    its own search raises."""
     try:
-        return _choose_designs(Ys, Fs, default_knot_candidates(Ys.shape[1]), order)
+        return _knot_search(Ys, Fs, order=order)
     except (AlphaSignError, np.linalg.LinAlgError):
         return [None] * Ys.shape[0]
 
@@ -261,7 +254,7 @@ def rolling_windows(
     workers defaults to the core count. Every battery runs at one BLAS
     thread, so the p-values do not depend on the worker count. With
     knots "auto", each block selects its windows' knots in stacked chunks
-    of consecutive windows (`basis._choose_designs`), which pick what
+    of consecutive windows (`basis._knot_search`), which pick what
     `select_knots_bic` picks on each window alone, and each window's
     battery starts from the design its search chose. window must
     be an integer in [2, T]. A window's error is re-raised with its

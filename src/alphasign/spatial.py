@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _is_count
-from .errors import ContractError, DegenerateScaleError, DegenerateStatisticError
+from .errors import ContractError, DegenerateScaleError, DegenerateStatisticError, _is_count
 
 SCALE_FLOOR = 1e-12
 

@@ -23,12 +23,11 @@ from .basis import (
     _annihilator_diagonal,
     _check_h_norm,
     _check_knots,
-    _Choice,
-    _choose_designs,
     _fit_residuals,
+    _KnotSearch,
+    _knot_search,
     _panel_and_factors,
     build_design,
-    default_knot_candidates,
 )
 from .blas import one_blas_thread
 from .errors import (
@@ -406,7 +405,7 @@ def run_all_tests(
     tol: float = 1e-8,
     max_iter: int = 200,
     *,
-    _chosen: _Choice | None = None,
+    _chosen: _KnotSearch | None = None,
 ) -> list[TestResult]:
     """Run the full battery on one panel and return all six results.
 
@@ -429,8 +428,8 @@ def run_all_tests(
     thread.
 
     `_chosen` is private to `rolling_windows`: with knots "auto", this
-    panel's `basis._Choice` from a knot search run on a stack of windows,
-    which then stands in for the search here.
+    panel's `basis._KnotSearch` from a knot search run on a stack of
+    windows, which then stands in for the search here.
     """
     Y, F = _panel_and_factors(panel, factors)
     knots = _check_knots(knots)
@@ -443,15 +442,12 @@ def run_all_tests(
         except AlphaSignError as exc:
             raise type(exc)(f"{name}: {exc}") from exc
 
-    if knots == "auto" and _chosen is not None:
-        design = _stage("knot-selection", _chosen.design)
-    elif knots == "auto":
+    if knots == "auto":
         # as a stack of one the panel is not scanned again
-        candidates = default_knot_candidates(T)
-        design = _stage(
-            "knot-selection",
-            lambda: _choose_designs(Y[None], F[None], candidates, order)[0].design(),
+        search = _chosen if _chosen is not None else _stage(
+            "knot-selection", lambda: _knot_search(Y[None], F[None], order=order)[0]
         )
+        design = _stage("knot-selection", search.design)
     else:
         design = _stage("design", lambda: build_design(F, SplineConfig(knots, order)))
     residuals, residuals_tilde = _stage("fit", lambda: _fit_residuals(Y, design))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from alphasign import basis, pool
-from alphasign.basis import SplineConfig, _halves, _score_knot_candidates, default_knot_candidates
+from alphasign.basis import SplineConfig, _halves, _knot_search, default_knot_candidates
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import AlphaSignError, ConvergenceError
 from alphasign.harness import ExperimentConfig, rolling_windows, run_experiment
@@ -67,8 +67,8 @@ def _batteries(panel, factors):
 
 def _tables(panel, factors, candidates):
     """Each panel's knot table, errors as (class, message)."""
-    tables = _score_knot_candidates(panel, factors, candidates, 3)
-    return [{n: _plain(s) for n, s in table.items()} for table in tables]
+    searches = _knot_search(panel, factors, candidates, 3)
+    return [{n: _plain(s) for n, s in search.table.items()} for search in searches]
 
 
 def _assert_same(serial, shared):

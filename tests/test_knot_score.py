@@ -12,11 +12,9 @@ from alphasign import basis
 from alphasign.basis import (
     RCOND_MIN,
     SplineConfig,
-    _best_knots,
-    _choose_designs,
-    _score_knot_candidates,
+    _bic_penalty,
+    _knot_search,
     _uncentered_twins,
-    bic_penalty,
     bic_score,
     build_design,
     default_knot_candidates,
@@ -37,7 +35,7 @@ def _reference_bic_score(panel, factors, config):
     if rss_mean <= 0.0:
         return -math.inf
     F = np.asarray(factors, dtype=float).reshape(Y.shape[0], -1)
-    return math.log(rss_mean) + bic_penalty(Y.shape[1], Y.shape[0], F.shape[1], config)
+    return math.log(rss_mean) + _bic_penalty(Y.shape[1], Y.shape[0], F.shape[1], config)
 
 
 @pytest.mark.parametrize("example", [1, 2, 3])
@@ -99,6 +97,11 @@ def test_unusable_candidates_keep_the_design_messages():
         assert message in str(info.value)
 
 
+def _tables(panel, factors, candidates):
+    """Each panel's knot table from one search (`basis._knot_search`)."""
+    return [search.table for search in _knot_search(panel, factors, candidates, 3)]
+
+
 def _windows(Y, F, window):
     """The (W, window, N) and (W, window, p) stacks of every window, as views."""
     return tuple(
@@ -151,7 +154,7 @@ def test_a_non_finite_value_in_one_window_of_a_stack_is_refused(bad):
         with pytest.raises(ContractError, match="^panel contains non-finite values$"):
             bic_score(Ys, Fs, SplineConfig(n, 3))
     with pytest.raises(ContractError, match="^panel contains non-finite values$"):
-        _score_knot_candidates(Ys, Fs, default_knot_candidates(50), 3)
+        _knot_search(Ys, Fs, default_knot_candidates(50), 3)
     assert np.all(np.isfinite(bic_score(Ys[:-1], Fs[:-1], SplineConfig(1, 3))))
 
 
@@ -179,7 +182,7 @@ def test_a_search_takes_each_panels_squared_norm_once(windows, monkeypatch):
         Ys, Fs = Ys[0], Fs[0]  # a single panel is a stack of one
     T, N = Ys.shape[-2:]
     candidates = range(1, 9)
-    expected = _score_knot_candidates(Ys, Fs, candidates, 3)
+    expected = _tables(Ys, Fs, candidates)
     vdot, shapes = np.vdot, []
 
     def spy(a, b):
@@ -187,7 +190,7 @@ def test_a_search_takes_each_panels_squared_norm_once(windows, monkeypatch):
         return vdot(a, b)
 
     monkeypatch.setattr(np, "vdot", spy)
-    scores = _score_knot_candidates(Ys, Fs, candidates, 3)
+    scores = _tables(Ys, Fs, candidates)
     assert shapes.count((T, N)) == windows  # not once per candidate
     assert scores == expected
 
@@ -198,11 +201,12 @@ def test_stacked_search_picks_each_windows_own_knots(zero_tail_panel):
     Y, F = zero_tail_panel
     Ys, Fs = _windows(Y, F, 40)
     candidates = default_knot_candidates(40)
-    stacked = _score_knot_candidates(Ys, Fs, candidates, 3)
-    assert len(stacked) == Ys.shape[0]
+    searches = _knot_search(Ys, Fs, candidates, 3)
+    assert len(searches) == Ys.shape[0]
     usable_sets = set()
-    for w, scores in enumerate(stacked):
-        alone = _score_knot_candidates(Y[w : w + 40], F[w : w + 40], candidates, 3)
+    for w, search in enumerate(searches):
+        scores = search.table
+        alone = _tables(Y[w : w + 40], F[w : w + 40], candidates)
         assert len(alone) == 1 and list(scores) == list(alone[0]) == list(candidates)
         for n, own in alone[0].items():
             if isinstance(own, Exception):
@@ -214,11 +218,25 @@ def test_stacked_search_picks_each_windows_own_knots(zero_tail_panel):
             expected = select_knots_bic(Y[w : w + 40], F[w : w + 40])
         except SingularDesignError as exc:
             with pytest.raises(SingularDesignError) as info:
-                _best_knots(scores)
+                search.design()
             assert str(info.value) == str(exc)
         else:
-            assert _best_knots(scores) == expected
+            assert search.design().config.interior_knots == expected
     assert {(1, 2, 3, 4, 5, 6, 7), (1,), ()} <= usable_sets and len(usable_sets) >= 5
+
+
+def test_a_stack_takes_its_default_range_from_the_window_length():
+    # four 300-row windows: the default range follows T = 300 (counts 1-8),
+    # not the stack's length W = 4; select_knots_bic returns one count, so
+    # it takes one panel and refuses a stack
+    sim = simulate_panel(1, ErrorScenario("t"), AlphaSpec(), 20, 303, np.random.default_rng(8))
+    Ys, Fs = _windows(sim.panel, sim.factors, 300)
+    searches = _knot_search(Ys, Fs)
+    for w, search in enumerate(searches):
+        assert list(search.table) == list(default_knot_candidates(300)) == list(range(1, 9))
+        assert search.design().config.interior_knots == select_knots_bic(Ys[w], Fs[w])
+    with pytest.raises(ContractError, match="^panel must be a T x N matrix, got ndim=3$"):
+        select_knots_bic(Ys, Fs)
 
 
 @pytest.mark.parametrize(
@@ -234,11 +252,11 @@ def test_a_count_the_sign_test_refuses_is_not_chosen(
         run_all_tests(Yw, Fw, knots=refused)
     for n in runs:
         run_all_tests(Yw, Fw, knots=n)
-    scores = _score_knot_candidates(Yw, Fw, default_knot_candidates(40), 3)[0]
+    search = _knot_search(Yw, Fw, default_knot_candidates(40), 3)[0]
     # the refused count scored best among the counts whose designs exist;
     # the search marks it unusable with the sign test's own error
-    assert isinstance(scores[refused], DegenerateStatisticError)
-    assert _best_knots(scores) == select_knots_bic(Yw, Fw) == chosen
+    assert isinstance(search.table[refused], DegenerateStatisticError)
+    assert search.design().config.interior_knots == select_knots_bic(Yw, Fw) == chosen
     knotted = {r.name: r.p_value for r in run_all_tests(Yw, Fw, knots=chosen)}
     assert {r.name: r.p_value for r in run_all_tests(Yw, Fw)} == knotted
 
@@ -266,9 +284,9 @@ def _zero_tail_tables():
         for zero in (30, 45):
             F = sim.factors.copy()
             F[zero:] = 0.0
-            tables += _score_knot_candidates(sim.panel, F, range(9), 3)
+            tables += _tables(sim.panel, F, range(9))
             Ys, Fs = _windows(sim.panel, F, 40)
-            tables += _score_knot_candidates(Ys[::3], Fs[::3], range(9), 3)
+            tables += _tables(Ys[::3], Fs[::3], range(9))
     return tables
 
 
@@ -343,9 +361,9 @@ def test_the_common_path_takes_no_singular_value_call(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    choices = _choose_designs(Ys, Fs, default_knot_candidates(300), 3)
-    for w, choice in enumerate(choices):
-        run_all_tests(Ys[w], Fs[w], _chosen=choice)
+    searches = _knot_search(Ys, Fs, default_knot_candidates(300), 3)
+    for w, search in enumerate(searches):
+        run_all_tests(Ys[w], Fs[w], _chosen=search)
     n = select_knots_bic(Ys[0], Fs[0])
     run_all_tests(Ys[0], Fs[0], knots=n)
     assert calls == []

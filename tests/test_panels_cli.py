@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -25,6 +26,23 @@ from alphasign.panels import (
     write_table,
 )
 from alphasign.stat_tests import TEST_NAMES, run_all_tests
+
+
+def test_the_top_level_exports_the_api_and_no_module():
+    import alphasign
+
+    exported = {}
+    exec("from alphasign import *", exported)
+    assert not any(isinstance(v, types.ModuleType) for v in exported.values())
+    assert set(alphasign.__all__) == set(exported) - {"__builtins__"}
+    # what the benchmark, CI and the README quick start read from the top level
+    assert {
+        "select_knots_bic", "resolve_knots", "run_all_tests", "rolling_windows",
+        "run_experiment", "simulate_panel", "ErrorScenario", "AlphaSpec",
+        "ExperimentConfig", "replication_rng", "TEST_NAMES", "write_panel",
+        "SplineConfig", "run_replication_results",
+    } <= set(alphasign.__all__)
+    assert not {"bic_score", "hda_j_stat", "gen_errors", "pool", "basis"} & set(alphasign.__all__)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -13,7 +13,7 @@ from alphasign.basis import (
     _annihilator_diagonal,
     _basis_matrix,
     _clamped_basis,
-    bic_penalty,
+    _bic_penalty,
     bic_score,
     build_design,
     default_knot_candidates,
@@ -243,7 +243,7 @@ def test_fit_input_guards(small_design):
 
 def test_bic_penalty_value():
     # log(200*350)/(200*350) * (3+1) * (2+3)
-    assert bic_penalty(200, 350, 3, SplineConfig(2, 3)) == pytest.approx(
+    assert _bic_penalty(200, 350, 3, SplineConfig(2, 3)) == pytest.approx(
         3.1875001488661414e-3, rel=1e-9
     )
 
