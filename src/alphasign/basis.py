@@ -788,4 +788,5 @@ def select_knots_bic(panel, factors, candidates=None, order: int = 3) -> int:
     SingularDesignError if every candidate is unusable.
     """
     Y, f = _panel_and_factors(panel, factors)
+    # as a stack of one the checked panel is not scanned again
     return _knot_search(Y[None], f[None], candidates, order)[0].design().config.interior_knots
