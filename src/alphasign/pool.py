@@ -19,10 +19,9 @@ the helper too.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from .errors import ContractError, _is_count
@@ -150,12 +149,20 @@ def _run_job(fn, job):
         _jobs.active = outer
 
 
+def _run_chunk(fn, chunk: list) -> list:
+    """fn over a chunk of _map_in_order's jobs, each run as _run_job runs it."""
+    return [_run_job(fn, job) for job in chunk]
+
+
 def _map_in_order(fn, jobs: list, workers: int) -> list:
     """fn over jobs, results in job order, on n = min(workers, len(jobs))
     processes: this one alone when n is 1; else this process runs the
     first len(jobs) // n jobs itself while the kept pool of n - 1 processes
     runs the rest. An error a job raises reaches the caller either way, the
-    first failing job's in job order.
+    first failing job's in job order. The call returns or raises only once
+    no job is left running, so a job may use files that the caller removes
+    right after the call: jobs the pool has not started when one fails are
+    cancelled, and the call waits for the others.
 
     The pool outlives the call, so its workers are forked once and see
     module state as it was at the first pooled call of their size: fn must
@@ -165,18 +172,24 @@ def _map_in_order(fn, jobs: list, workers: int) -> list:
 
     No job gives work to the helper thread (`_both`), in this process or in
     a worker, at any worker count."""
-    fn = functools.partial(_run_job, fn)
     n_workers = min(workers, len(jobs))
     if n_workers == 1:
-        return list(map(fn, jobs))
+        return _run_chunk(fn, jobs)
     own = len(jobs) // n_workers
-    chunk = max(1, (len(jobs) - own) // ((n_workers - 1) * 8))
+    size = max(1, (len(jobs) - own) // ((n_workers - 1) * 8))
     try:
         # Submitting under the lock keeps another thread from replacing the
         # pool between taking it and submitting to it.
         with _pool_lock:
-            rest = _kept_pool(n_workers - 1).map(fn, jobs[own:], chunksize=chunk)
-        return [fn(job) for job in jobs[:own]] + list(rest)
+            pool = _kept_pool(n_workers - 1)
+            pending = [pool.submit(_run_chunk, fn, jobs[k:k + size])
+                       for k in range(own, len(jobs), size)]
+        try:
+            return _run_chunk(fn, jobs[:own]) + [r for chunk in pending for r in chunk.result()]
+        finally:
+            for chunk in pending:
+                chunk.cancel()
+            wait(pending)
     except BrokenProcessPool:
         _close_pool()
         raise

@@ -5,7 +5,8 @@ import re
 import signal
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
+import time
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
@@ -215,15 +216,18 @@ def test_a_pool_starts_only_for_two_or_more_workers_and_reps(monkeypatch):
 def test_the_caller_runs_the_first_share_of_the_jobs(monkeypatch):
     import alphasign.pool as pool
 
-    pooled = []
+    pools = []
 
     class InlinePool:
         def __init__(self, max_workers):
-            self.max_workers = max_workers
+            self.max_workers, self.jobs = max_workers, []
+            pools.append(self)
 
-        def map(self, fn, jobs, chunksize):
-            pooled.append((self.max_workers, list(jobs)))
-            return map(fn, jobs)
+        def submit(self, fn, *args):
+            self.jobs.extend(args[-1])  # the chunk of jobs
+            done = Future()
+            done.set_result(fn(*args))
+            return done
 
         def shutdown(self):
             pass
@@ -231,7 +235,34 @@ def test_the_caller_runs_the_first_share_of_the_jobs(monkeypatch):
     monkeypatch.setattr(pool, "ProcessPoolExecutor", InlinePool)
     assert pool._map_in_order(abs, list(range(-7, 0)), 3) == list(range(7, 0, -1))
     # 7 jobs at 3 workers: this process takes 7 // 3 = 2, a pool of 2 the rest
-    assert pooled == [(2, list(range(-5, 0)))]
+    assert [(p.max_workers, p.jobs) for p in pools] == [(2, list(range(-5, 0)))]
+
+
+def _touch_late_or_fail(job):
+    """A job that raises at once for ("fail", None), and for ("touch", path)
+    writes the file path after half a second."""
+    kind, path = job
+    if kind == "fail":
+        raise ValueError(f"job {kind} failed")
+    time.sleep(0.5)
+    open(path, "w").close()
+
+
+@pytest.mark.parametrize("caller_fails", [True, False])
+def test_a_failed_call_returns_once_every_job_has_finished(tmp_path, caller_fails):
+    import alphasign.pool as pool
+
+    late = [("touch", str(tmp_path / name)) for name in ("a", "b")]
+    # at 3 workers this process runs the first job and a pool of 2 the rest,
+    # so the failing job runs beside a job that is still to finish
+    jobs = [("fail", None)] + late if caller_fails else [late[0], ("fail", None), late[1]]
+    with pytest.raises(ValueError, match="job fail failed"):
+        pool._map_in_order(_touch_late_or_fail, jobs, 3)
+    # a job the pool had not started may have been cancelled, but none is
+    # still running: no file appears after the call
+    written = sorted(p.name for p in tmp_path.iterdir())
+    time.sleep(1.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 @pytest.fixture

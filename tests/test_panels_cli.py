@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import tempfile
 import types
 
 import numpy as np
@@ -286,7 +287,7 @@ def test_blocks_cut_at_any_line_give_the_one_block_read(tmp_path, monkeypatch, n
         panel = read_panel(path, workers=workers)
         assert (panel.columns, panel.index) == (whole.columns, whole.index)
         assert panel.values.tobytes() == whole.values.tobytes()
-    pooled = [raw[start:stop] for block_jobs in jobs for _, start, stop in block_jobs[1:]]
+    pooled = [raw[start:stop] for block_jobs in jobs for _, start, stop, _ in block_jobs[1:]]
     assert [len(block_jobs) for block_jobs in jobs] == [2, 3, 4]
     assert any(block.startswith(b"#") for block in pooled)
     assert any(block.startswith(newline.encode()) for block in pooled)
@@ -363,9 +364,11 @@ def test_readers_need_a_worker(cli_files, workers):
             read(cli_files["factors"], workers=workers)
 
 
-def _reference_write(path, values, columns, index):
+def _reference_write(path, values, columns, index, comments=()):
     """The per-cell writer: csv writes every cell, each float via format_float."""
     with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write((line if line.startswith("#") else f"# {line}") + "\n")
         writer = csv.writer(fh)
         writer.writerow(["t"] + list(columns))
         for label, row in zip(index, values):
@@ -390,6 +393,144 @@ def test_writer_bytes_match_per_cell_reference(tmp_path_factory, table, labels):
     write_panel(str(ours), values, columns, index=index)
     _reference_write(str(reference), values, columns, index)
     assert ours.read_bytes() == reference.read_bytes()
+
+
+# NaN and infinite cells, which the writer writes though a reader refuses
+# them, and labels that csv has to quote
+_any_cells = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]))
+_any_labels = st.one_of(st.text(max_size=5), st.sampled_from(['a,b', 'say "hi"', " pad ", "#1"]))
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(_any_cells, min_size=n, max_size=n), min_size=1, max_size=5),
+            st.lists(_any_labels, min_size=n, max_size=n),
+        )
+    ),
+    st.lists(_any_labels, min_size=5, max_size=5),
+    st.lists(st.sampled_from(["# provenance", 'plain, "quoted" note', "#"]), max_size=2),
+)
+def test_pooled_writer_bytes_match_per_cell_reference(tmp_path_factory, table, labels, comments):
+    rows, columns = table
+    values = np.array(rows)
+    index = labels[: len(rows)]
+    root = tmp_path_factory.getbasetemp()
+    reference = root / "reference.csv"
+    _reference_write(str(reference), values, columns, index, comments)
+    # with blocks of one byte every row count is cut, into empty blocks too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(panels, "_MIN_BLOCK_BYTES", 1)
+        for workers in (1, 2, 3, 4):
+            ours = root / f"written{workers}.csv"
+            write_panel(str(ours), values, columns, index=index, comments=comments, workers=workers)
+            assert ours.read_bytes() == reference.read_bytes(), workers
+
+
+@pytest.mark.parametrize(
+    "values,columns,index,message",
+    [
+        (np.ones((4, 3)), ["A", "B", "C"], ["d1", "d2"], "^2 row labels for 4 rows$"),
+        (np.ones((4, 3)), ["A", "B", "C", "D"], None, "^4 column names for 3 columns$"),
+        (np.ones(3), ["A", "B", "C"], None, r"^values must be a T x N array, got shape \(3,\)$"),
+    ],
+    ids=["short-index", "column-count", "one-dimensional"],
+)
+def test_the_writer_refuses_a_shape_before_opening_a_file(tmp_path, values, columns, index, message):
+    path = tmp_path / "refused.csv"
+    with pytest.raises(ContractError, match=message):
+        write_panel(str(path), values, columns, index=index)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -4, 1.5, True])
+def test_the_writer_needs_a_worker(tmp_path, workers):
+    with pytest.raises(ContractError, match="^workers must be"):
+        write_panel(str(tmp_path / "w.csv"), np.ones((2, 2)), ["A", "B"], workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_panel_of_two_blocks_round_trips_bit_for_bit(tmp_path, monkeypatch, workers):
+    # 300 x 900 doubles are 2.16 MB, two blocks of values and of file
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((300, 900)) * 10.0 ** rng.integers(-300, 300, size=(300, 900))
+    columns = [f"A{j}" for j in range(900)]
+    made, real = [], pool.ProcessPoolExecutor
+
+    def counting(max_workers):
+        made.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", counting)
+    path = str(tmp_path / "large.csv")
+    write_panel(path, values, columns, workers=workers)
+    panel = read_panel(path, workers=workers)
+    assert panel.values.tobytes() == values.tobytes()
+    assert panel.columns == tuple(columns) and panel.index == tuple(map(str, range(1, 301)))
+    assert made == ([] if workers == 1 else [1])  # one pool writes and reads
+
+
+@pytest.fixture
+def scratch_root(tmp_path, monkeypatch):
+    """An empty directory that tempfile makes its scratch directories in."""
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
+
+
+def test_a_pooled_write_and_read_leave_no_scratch(tmp_path, scratch_root, monkeypatch):
+    monkeypatch.setattr(panels, "_MIN_BLOCK_BYTES", 1)
+    path = str(tmp_path / "panel.csv")
+    values = np.arange(60.0).reshape(20, 3) / 7.0
+    write_panel(path, values, ["A", "B", "C"], workers=2)
+    assert list(scratch_root.iterdir()) == []
+    assert read_panel(path, workers=2).values.tobytes() == values.tobytes()
+    assert list(scratch_root.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "last_row,message",
+    [
+        ("200,1,x", "row 201, column 'B' is not numeric: 'x'"),
+        ("200,1,inf", "row 201, column 'B' is not finite: 'inf'"),
+        ("200,1", "row 201 has 2 cells, expected 3"),
+    ],
+)
+def test_a_failed_pooled_read_leaves_no_scratch(
+    tmp_path, scratch_root, monkeypatch, last_row, message
+):
+    path = str(tmp_path / "late_fault.csv")
+    with open(path, "w") as fh:
+        fh.write("t,A,B\n" + "".join(f"{i},{i}.5,2\n" for i in range(1, 200)) + last_row + "\n")
+    monkeypatch.setattr(panels, "_MIN_BLOCK_BYTES", 1)
+    with pytest.raises(PanelFormatError) as info:
+        read_panel(path, workers=2)
+    assert str(info.value) == f"{path}: {message}"
+    assert list(scratch_root.iterdir()) == []
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["callers-block", "pools-block"])
+def test_a_failed_pooled_write_leaves_no_scratch_and_no_file(tmp_path, scratch_root, monkeypatch, row):
+    monkeypatch.setattr(panels, "_MIN_BLOCK_BYTES", 1)
+    index = [str(i) for i in range(20)]
+    index[row] = "\ud800"  # a lone surrogate, which no text encoding writes
+    path = tmp_path / "unwritten.csv"
+    with pytest.raises(UnicodeEncodeError):
+        write_panel(str(path), np.ones((20, 3)), ["A", "B", "C"], index=index, workers=2)
+    assert not path.exists()
+    assert list(scratch_root.iterdir()) == []
+
+
+def test_a_parse_job_returns_labels_and_a_shape_and_writes_its_values(tmp_path):
+    path = tmp_path / "block.csv"
+    path.write_bytes(b't,A,B\n# note\n"x,1",1.5,2\ny,3,4e-300\n')
+    part = tmp_path / "part"
+    job = (str(path), len(b"t,A,B\n"), path.stat().st_size, str(part))
+    result = panels._parse_block(job)
+    assert result == (["x,1", "y"], (2, 2))
+    assert not any(isinstance(item, np.ndarray) for item in result)
+    assert part.read_bytes() == np.array([[1.5, 2.0], [3.0, 4e-300]]).tobytes()
 
 
 def test_provenance_line_is_order_insensitive():
