@@ -19,9 +19,11 @@ The errors' covariance 0.5^|i-j| is an AR(1) across assets, so the
 "normal", "t" and "mixture" draws color their T x N normals by that
 recursion, run in column blocks of `_AR_BLOCK` (32) over the normals
 themselves, in O(T N B) work. The divisor, the factor part and the
-intercept are then applied in place, so such a draw holds one T x N
-panel (and the intercept array it returns) and no N x N matrix. Only
-"icm" draws form one: the symmetric root of the covariance, cached per N.
+intercept are then applied in place, so such a draw allocates one T x N
+array, its panel, and no N x N matrix. Only "icm" draws form one: the
+symmetric root of the covariance, cached per N. The intercept is one
+N-vector seen as T equal rows (`gen_alpha`), so a kept `SimulatedPanel`
+holds one T x N array too.
 """
 
 from __future__ import annotations
@@ -323,6 +325,10 @@ def gen_errors(scenario: ErrorScenario, N: int, T: int, rng) -> np.ndarray:
 def gen_alpha(spec: AlphaSpec, N: int, T: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sparse intercept panel (T x N) and the sorted support indices.
 
+    The intercept does not vary in t, so the panel is a read-only view of
+    one N-vector, zero off the support, repeated over T rows (stride 0
+    along t; `.copy()` gives a dense, writable array).
+
     Draw order: the support (one choice without replacement), then one
     uniform level per supported asset.
     """
@@ -330,16 +336,16 @@ def gen_alpha(spec: AlphaSpec, N: int, T: int, rng) -> tuple[np.ndarray, np.ndar
         raise ContractError(
             f"sparsity {spec.sparsity} exceeds the number of assets {N}"
         )
-    alpha = np.zeros((T, N))
+    row = np.zeros(N)
     if spec.sparsity == 0:
-        return alpha, np.empty(0, dtype=int)
+        return np.broadcast_to(row, (T, N)), np.empty(0, dtype=int)
     support = np.sort(rng.choice(N, size=spec.sparsity, replace=False))
     bound = spec.upper_bound(N, T)
     levels = rng.uniform(0.0, bound, size=spec.sparsity)
     if spec.mode == "over_T":
         levels = levels / T
-    alpha[:, support] = levels
-    return alpha, support
+    row[support] = levels
+    return np.broadcast_to(row, (T, N)), support
 
 
 def assemble_panel(
@@ -369,7 +375,11 @@ def assemble_panel(
 
 @dataclass(frozen=True)
 class SimulatedPanel:
-    """One simulated dataset: returns, factors, injected alpha, support."""
+    """One simulated dataset: returns, factors, injected alpha, support.
+
+    alpha is `gen_alpha`'s read-only T x N view of one N-vector, so the
+    panel is the only T x N array a kept draw holds.
+    """
 
     panel: np.ndarray
     factors: np.ndarray
@@ -389,11 +399,13 @@ def simulate_panel(
     """Full draw for one replication.
 
     Consumption order extends assemble_panel: factors, latent state,
-    errors, then the intercept support and levels. OpenBLAS runs at one
+    errors, then the intercept support and levels. The levels are added
+    in place to the support's columns only (nothing at sparsity 0), so the
+    draw allocates no T x N array beside its panel. OpenBLAS runs at one
     thread for the draw, so a panel drawn here is bit-identical to the
     same replication's draw inside the harness.
     """
     panel, F = assemble_panel(example, N, T, rng, scenario)
     alpha, support = gen_alpha(alpha_spec, N, T, rng)
-    panel += alpha
+    panel[:, support] += alpha[0, support]
     return SimulatedPanel(panel, F, alpha, support)

@@ -18,8 +18,10 @@ alone. Line ends are found in the raw bytes, so the locale encoding must
 keep CR and LF as single ASCII bytes, as UTF-8 and the Latin codecs do.
 
 The writer formats a panel whose values span two such blocks or more in
-row blocks on the same pool, the calling process's block included. The
-output does not depend on the block count.
+row blocks on the same pool, the calling process's block included, and a
+smaller panel as one block in this process. It opens the target only
+once the header and every block are formatted and encoded. The output
+does not depend on the block count.
 
 Row blocks cross between processes as raw files in one scratch
 directory, made by `tempfile.TemporaryDirectory` in the system's temp
@@ -345,7 +347,7 @@ def _format_block(job) -> None:
     encoding) is the job."""
     raw, n, start, labels, part, encoding = job
     offset = start * n * np.dtype(float).itemsize
-    rows = np.fromfile(raw, count=len(labels) * n, offset=offset).reshape(-1, n)
+    rows = np.fromfile(raw, count=len(labels) * n, offset=offset).reshape(len(labels), n)
     with open(part, "w", newline="", encoding=encoding) as fh:
         _write_rows(fh, rows, labels)
 
@@ -373,13 +375,14 @@ def write_panel(
     values is a T x N array, columns its N names and index its T row
     labels (default: 1 to T); anything else raises ContractError before a
     file is opened. Each comment line is written first, with "# " put in
-    front of a line that does not start with "#". A panel of at least two
-    row blocks of _MIN_BLOCK_BYTES of values is formatted on up to
-    `workers` processes, this one included (default: the core count), and
-    the file is opened only once every block is formatted, so a block that
-    fails to format (a label the locale encoding cannot write) leaves no
-    file; a smaller panel is written in this process as it is formatted.
-    The output does not depend on `workers`, byte for byte.
+    front of a line that does not start with "#". The values are cut into
+    row blocks of at least _MIN_BLOCK_BYTES, one block per worker at most,
+    and formatted on up to `workers` processes, this one included
+    (default: the core count); a panel below two blocks is one block,
+    formatted in this process. The header and every block are formatted
+    and encoded before the file is opened, so a name or label that the
+    locale encoding cannot write leaves no file. The output does not
+    depend on `workers`, byte for byte.
     """
     workers = _worker_count(workers)
     values = np.asarray(values, dtype=float)
@@ -393,19 +396,14 @@ def write_panel(
     if len(index) != T:
         raise ContractError(f"{len(index)} row labels for {T} rows")
     encoding = locale.getpreferredencoding(False)  # the one open() takes
-
-    def head(fh):
-        for line in comments or []:
-            fh.write(line if line.startswith("#") else f"# {line}")
-            fh.write("\n")
-        csv.writer(fh).writerow(["t"] + columns)
+    text = io.StringIO()
+    for line in comments or []:
+        text.write(line if line.startswith("#") else f"# {line}")
+        text.write("\n")
+    csv.writer(text).writerow(["t"] + columns)
+    head = text.getvalue().encode(encoding)
 
     n_blocks = max(1, min(workers, values.nbytes // _MIN_BLOCK_BYTES))
-    if n_blocks == 1:
-        with open(path, "w", newline="", encoding=encoding) as fh:
-            head(fh)
-            _write_rows(fh, values, index)
-        return
     cuts = [k * T // n_blocks for k in range(n_blocks + 1)]
     with tempfile.TemporaryDirectory() as scratch:
         raw = os.path.join(scratch, "values")
@@ -413,11 +411,11 @@ def write_panel(
         parts = [os.path.join(scratch, str(k)) for k in range(n_blocks)]
         jobs = [(raw, N, a, index[a:b], part, encoding) for a, b, part in zip(cuts, cuts[1:], parts)]
         _map_in_order(_format_block, jobs, workers)
-        with open(path, "w", newline="", encoding=encoding) as fh:
-            head(fh)
+        with open(path, "wb") as fh:
+            fh.write(head)
             fh.flush()
             for part in parts:
-                _append(fh.buffer, part)
+                _append(fh, part)
 
 
 def write_table(out, header, rows, comments=()):

@@ -1,5 +1,6 @@
 """Simulation engine: factor paths, loadings, error laws, intercept injection."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -169,17 +170,24 @@ def test_only_icm_draws_factor_the_covariance(linalg_calls):
 
 
 def test_a_large_draw_holds_no_n_by_n_matrix():
-    # the panel, the intercept array and small buffers; an N x N matrix
-    # alone would take 8 MB here
-    N, T = 1000, 60
+    # the panel and one T x 32 buffer: the intercept is one N-vector seen
+    # as T rows, so a draw allocates and keeps one T x N array; a dense
+    # intercept would double both figures, and an N x N matrix alone would
+    # take 8 MB here
+    N, T = 1000, 600
+    panel_bytes = T * N * 8
+    # a first draw imports modules lazily, which is not the draw's memory
+    simulate_panel(1, ErrorScenario("t"), AlphaSpec(2, 1.0), 8, 60, np.random.default_rng(1))
     tracemalloc.start()
     try:
-        simulate_panel(1, ErrorScenario("t"), AlphaSpec(2, 1.0), N, T,
-                       np.random.default_rng(1))
-        _, peak = tracemalloc.get_traced_memory()
+        sim = simulate_panel(1, ErrorScenario("t"), AlphaSpec(2, 1.0), N, T,
+                             np.random.default_rng(1))
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * T * N * 8 + (1 << 20)
+    assert sim.alpha.shape == (T, N)
+    assert peak <= 1.25 * panel_bytes
+    assert kept <= 1.25 * panel_bytes
 
 
 def test_mixture_with_kappa_one_is_exactly_normal():
@@ -244,6 +252,21 @@ def test_gen_alpha_support_and_levels():
         gen_alpha(AlphaSpec(sparsity=6, strength=1.0), N=5, T=4, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("spec", [AlphaSpec(), AlphaSpec(sparsity=3, strength=10.0)],
+                         ids=["sparsity-0", "sparsity-3"])
+def test_gen_alpha_is_a_read_only_view_of_one_row(spec):
+    alpha, support = gen_alpha(spec, N=20, T=50, rng=np.random.default_rng(6))
+    assert alpha.shape == (50, 20) and alpha.dtype == np.float64
+    assert alpha.strides[0] == 0 and not alpha.flags.writeable
+    with pytest.raises(ValueError):
+        alpha[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        alpha += 1.0
+    dense = alpha.copy()
+    assert dense.flags.writeable and dense.strides[0] == 20 * 8
+    assert np.array_equal(dense, alpha)
+
+
 def test_assemble_panel_shapes_and_guards():
     rng = np.random.default_rng(9)
     Y, F = assemble_panel(1, 4, 30, rng)
@@ -281,7 +304,8 @@ def test_simulate_panel_is_deterministic():
 
 def _reference_simulation(example, scenario, alpha_spec, N, T, rng):
     """simulate_panel's draws, with the systematic part formed from a full
-    (N, p, T) loadings copy contracted as einsum("ipt,tp->ti")."""
+    (N, p, T) loadings copy contracted as einsum("ipt,tp->ti"), and the
+    intercept drawn as a dense T x N array added over the whole panel."""
     F = np.column_stack([ar_garch_path(s, T, rng) for s in EXAMPLE_FACTORS[example]])
     u = np.arange(1, T + 1) / T
     if example == 1:
@@ -295,21 +319,31 @@ def _reference_simulation(example, scenario, alpha_spec, N, T, rng):
     loadings = np.broadcast_to(base[None, :, :], (N,) + base.shape).copy()
     errors = gen_errors(scenario, N, T, rng)
     panel = np.zeros((T, N)) + np.einsum("ipt,tp->ti", loadings, F) + errors
-    alpha, support = gen_alpha(alpha_spec, N, T, rng)
+    alpha, support = np.zeros((T, N)), np.empty(0, dtype=int)
+    if alpha_spec.sparsity:
+        support = np.sort(rng.choice(N, size=alpha_spec.sparsity, replace=False))
+        levels = rng.uniform(0.0, alpha_spec.upper_bound(N, T), size=alpha_spec.sparsity)
+        if alpha_spec.mode == "over_T":
+            levels = levels / T
+        alpha[:, support] = levels
     return panel + alpha, F, alpha, support
 
 
 @pytest.mark.parametrize("example", [1, 2, 3])
 def test_simulate_panel_matches_full_loadings_reference(example):
-    spec = AlphaSpec(sparsity=2, strength=3.0)
-    sim = simulate_panel(example, ErrorScenario("t"), spec, 12, 60, np.random.default_rng(41))
-    panel, F, alpha, support = _reference_simulation(
-        example, ErrorScenario("t"), spec, 12, 60, np.random.default_rng(41)
-    )
-    assert np.array_equal(sim.panel, panel)
-    assert np.array_equal(sim.factors, F)
-    assert np.array_equal(sim.alpha, alpha)
-    assert np.array_equal(sim.support, support)
+    # every error law, with no intercept and with a sparse one at both
+    # modes: the panel and factors equal the reference byte for byte
+    for kind, sparsity, mode in itertools.product(ERROR_SCENARIO_KINDS, (0, 2), ("constant", "over_T")):
+        case = (kind, sparsity, mode)
+        spec = AlphaSpec(sparsity=sparsity, strength=3.0, mode=mode)
+        sim = simulate_panel(example, ErrorScenario(kind), spec, 12, 60, np.random.default_rng(41))
+        panel, F, alpha, support = _reference_simulation(
+            example, ErrorScenario(kind), spec, 12, 60, np.random.default_rng(41)
+        )
+        assert sim.panel.tobytes() == panel.tobytes(), case
+        assert sim.factors.tobytes() == F.tobytes(), case
+        assert np.array_equal(sim.alpha, alpha), case
+        assert np.array_equal(sim.support, support), case
 
 
 def _scalar_ar_garch_path(spec, T, rng, burn_in=BURN_IN):

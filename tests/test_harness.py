@@ -117,6 +117,49 @@ def test_resolve_knots_materializes_auto():
         assert a == b
 
 
+def test_the_traced_benchmark_reads_the_knot_search_and_the_spatial_fit(monkeypatch):
+    """The traced benchmark (`perfbench/run.py --trace 1`) wraps these calls
+    and reads what they take and give: `perfbench/spans.py:_attrs_for`
+    takes each `select_knots_bic` result as an int, each `bic_score`
+    call's third positional argument as a SplineConfig, and each
+    `spatial_median_scale` result's `iterations` and `converged`; and
+    `perfbench/metrics.py:114` takes min() and max() of the counts that
+    `bic_score` scored below each `select_knots_bic`, so a search that
+    stops calling `bic_score` fails the traced `mc_cell` run. The search
+    scores its candidates in two cost-balanced halves, one after the other
+    or on two threads, so the calls are compared as a set. A change to
+    perfbench's recorder or metrics (ROADMAP items 8-9) updates this test
+    with them."""
+    import alphasign.basis as basis
+    import alphasign.stat_tests as stat_tests
+
+    scored, located = [], []
+    score, locate = basis.bic_score, stat_tests.spatial_median_scale
+
+    def recording_score(*args, **kwargs):
+        scored.append(args[2] if len(args) > 2 else None)
+        return score(*args, **kwargs)
+
+    def recording_locate(*args, **kwargs):
+        result = locate(*args, **kwargs)
+        located.append(result)
+        return result
+
+    monkeypatch.setattr(basis, "bic_score", recording_score)
+    monkeypatch.setattr(stat_tests, "spatial_median_scale", recording_locate)
+    config = _tiny_config(knots="auto")
+    chosen = resolve_knots(config)
+    assert type(chosen) is int
+    assert all(isinstance(c, basis.SplineConfig) for c in scored)
+    counts = [c.interior_knots for c in scored]
+    assert sorted(counts) == list(basis.default_knot_candidates(config.T))
+    assert len(set(counts)) == len(counts)  # one call per candidate
+    run_replication_results(config, 0)
+    assert located
+    for result in located:
+        assert type(result.iterations) is int and type(result.converged) is bool
+
+
 def test_run_experiment_tiny_cell_is_deterministic():
     config = _tiny_config()
     report = run_experiment(config, workers=1)

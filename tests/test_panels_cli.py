@@ -522,6 +522,26 @@ def test_a_failed_pooled_write_leaves_no_scratch_and_no_file(tmp_path, scratch_r
     assert list(scratch_root.iterdir()) == []
 
 
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("bad", ["label", "column"])
+def test_a_name_the_encoding_cannot_write_leaves_no_file_and_no_scratch(
+    tmp_path, scratch_root, monkeypatch, bad, blocks
+):
+    # the header and every block are encoded before the target is opened
+    if blocks == 2:
+        monkeypatch.setattr(panels, "_MIN_BLOCK_BYTES", 1)
+    index, columns = ["1", "2", "3", "4"], ["A", "B"]
+    if bad == "label":
+        index[2] = "\ud800"  # a lone surrogate, which no text encoding writes
+    else:
+        columns[1] = "\ud800"
+    path = tmp_path / "unwritten.csv"
+    with pytest.raises(UnicodeEncodeError):
+        write_panel(str(path), np.ones((4, 2)), columns, index=index, workers=2)
+    assert not path.exists()
+    assert list(scratch_root.iterdir()) == []
+
+
 def test_a_parse_job_returns_labels_and_a_shape_and_writes_its_values(tmp_path):
     path = tmp_path / "block.csv"
     path.write_bytes(b't,A,B\n# note\n"x,1",1.5,2\ny,3,4e-300\n')
