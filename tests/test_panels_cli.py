@@ -996,6 +996,49 @@ def test_cli_simulate_output_is_fixed_by_its_flags(capsys, command):
     assert lines[1] == chosen
 
 
+# Each file command with a fixed argv, run beside its files (the paths enter
+# the hash), and the config digest of its provenance line, which must not
+# move either: `rolling --tests` names its columns in the hash.
+_FILE_COMMANDS = {
+    "test": (["test", "panel.csv", "factors.csv", "--knots", "1"], "b8e8057f9c0e"),
+    "knots": (["knots", "panel.csv", "factors.csv"], "9443e070e454"),
+    "rolling": (
+        ["rolling", "panel.csv", "factors.csv", "--window", "75", "--knots", "1"],
+        "8df324b53dc6",
+    ),
+    "rolling-tests": (
+        ["rolling", "panel.csv", "factors.csv", "--window", "75", "--knots", "1",
+         "--tests", "CSS,CSM"],
+        "2ee5d2e663bc",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FILE_COMMANDS))
+def test_cli_file_command_provenance_is_fixed_by_its_flags(cli_files, capsys, monkeypatch, case):
+    argv, digest = _FILE_COMMANDS[case]
+    monkeypatch.chdir(cli_files["root"])
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split("\n", 1)[0] == (
+        f"# alphasign {__version__} config={digest} seed=-"
+    )
+
+
+def test_cli_rolling_tests_are_columns_of_the_full_table(cli_files, capsys):
+    argv = ["rolling", cli_files["panel"], cli_files["factors"], "--window", "75", "--knots", "1"]
+    tables = []
+    for extra in ([], ["--tests", "CSM,CSS"]):
+        capsys.readouterr()
+        assert main(argv + extra) == 0
+        out = capsys.readouterr().out
+        tables.append(list(csv.reader(ln for ln in out.splitlines() if not ln.startswith("#"))))
+    full, picked = tables
+    assert picked[0] == ["window", "CSS", "CSM"]
+    cols = [full[0].index(name) for name in picked[0]]
+    assert picked == [[row[j] for j in cols] for row in full]
+
+
 def test_cli_simulate_writes_the_knots_each_cell_ran_at(capsys):
     # under --knots auto each cell selects on its own replication 0
     flags = ["--N", "10", "--T", "70", "--reps", "2", "--seed", "5", "--workers", "1"]
