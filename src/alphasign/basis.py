@@ -98,13 +98,9 @@ def make_knots(interior_knots: int, order: int = 3) -> np.ndarray:
 
     Interior knot i (1-based) sits at i / (interior_knots + 1); both
     boundary knots are repeated `order` times so the basis is clamped.
-    Either count must be an integer (not a bool), else ContractError.
+    The counts are checked as `SplineConfig` checks them.
     """
-    for name, value, least in (("interior_knots", interior_knots, 0), ("order", order, 1)):
-        if not _is_count(value):
-            raise ContractError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ContractError(f"{name} must be >= {least}")
+    SplineConfig(interior_knots, order)
     inner = np.arange(1, interior_knots + 1) / (interior_knots + 1)
     return np.concatenate([np.zeros(order), inner, np.ones(order)])
 
@@ -154,34 +150,30 @@ def _basis_means(T: int, interior_knots: int, order: int) -> np.ndarray:
     return m
 
 
-def _as_factor_matrix(factors) -> np.ndarray:
-    f = np.asarray(factors, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.ndim != 2:
-        raise ContractError(f"factors must be a T x p matrix, got ndim={f.ndim}")
-    if not np.all(np.isfinite(f)):
-        raise ContractError("factors contain non-finite values")
-    return f
+# The two inputs `_as_matrix` checks: each one's name in its messages, the
+# shape it must have, and the verb that says it holds a non-finite value.
+_MATRICES = {"panel": ("T x N", "contains"), "factors": ("T x p", "contain")}
 
 
-def _check_finite_panel(Y: np.ndarray) -> None:
-    if not np.all(np.isfinite(Y)):
-        raise ContractError("panel contains non-finite values")
+def _check_finite(M: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(M)):
+        raise ContractError(f"{name} {_MATRICES[name][1]} non-finite values")
 
 
-def _as_panel(panel) -> np.ndarray:
-    Y = np.asarray(panel, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.ndim != 2:
-        raise ContractError(f"panel must be a T x N matrix, got ndim={Y.ndim}")
-    _check_finite_panel(Y)
-    return Y
+def _as_matrix(values, name: str) -> np.ndarray:
+    """The panel or the factors (name) as a finite float matrix, a vector
+    as one column; ContractError otherwise."""
+    M = np.asarray(values, dtype=float)
+    if M.ndim == 1:
+        M = M[:, None]
+    if M.ndim != 2:
+        raise ContractError(f"{name} must be a {_MATRICES[name][0]} matrix, got ndim={M.ndim}")
+    _check_finite(M, name)
+    return M
 
 
 def _panel_and_factors(panel, factors) -> tuple[np.ndarray, np.ndarray]:
-    Y, f = _as_panel(panel), _as_factor_matrix(factors)
+    Y, f = _as_matrix(panel, "panel"), _as_matrix(factors, "factors")
     if Y.shape[0] != f.shape[0]:
         raise ContractError(
             f"panel has {Y.shape[0]} rows but factors have {f.shape[0]}"
@@ -204,8 +196,7 @@ def _panel_stack(panel, factors) -> tuple[np.ndarray, np.ndarray]:
             f"a panel stack of shape {Y.shape} needs factors of shape "
             f"{Y.shape[:2]} + (p,), got {f.shape}"
         )
-    if not np.all(np.isfinite(f)):
-        raise ContractError("factors contain non-finite values")
+    _check_finite(f, "factors")
     return Y, f
 
 
@@ -442,7 +433,7 @@ def build_design(factors, config: SplineConfig) -> DesignMatrix:
     h = 1 - Q_tilde (Q_tilde' 1 - v / v'v). The knot search builds its
     chosen count's design here too.
     """
-    f = _as_factor_matrix(factors)
+    f = _as_matrix(factors, "factors")
     T = f.shape[0]
     twins = _factor_twins(f[None], config, basis=True)
     q_tilde = twins.Q_tilde[0]
@@ -543,7 +534,7 @@ def fit_panel(panel, design: DesignMatrix) -> FitResult:
     one's plus h, orthogonal to it, so the centered residuals follow by a
     rank-one update, E = E~ + h (h'Y)' / h'h, with no second projection.
     """
-    Y = _as_panel(panel)
+    Y = _as_matrix(panel, "panel")
     if Y.shape[0] != design.n_obs:
         raise ContractError(
             f"panel has {Y.shape[0]} rows but design expects {design.n_obs}"
@@ -626,7 +617,7 @@ def _squared_norms(Y: np.ndarray) -> list[float]:
     same."""
     norms = [float(np.vdot(Y[w], Y[w])) for w in range(Y.shape[0])]
     if not all(map(math.isfinite, norms)):
-        _check_finite_panel(Y)
+        _check_finite(Y, "panel")
     return norms
 
 

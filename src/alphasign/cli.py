@@ -16,7 +16,7 @@ depend on the process count. The simulate commands write the knot count
 each cell ran at as a `# chosen_knots=` comment line below the
 provenance line (one count per strength, in grid order, for
 `simulate-power`). A flat key=value config file can stand in for flags
-(--config FILE); explicit flags win on conflict.
+(--config FILE or --config=FILE); explicit flags win on conflict.
 """
 
 from __future__ import annotations
@@ -105,10 +105,19 @@ def _parse_workers(text: str) -> int:
     return workers
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and each command's subparser, by command name."""
     parser = _Parser(prog="alphasign", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"alphasign {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    commands = {}
+
+    def add_command(name, help, files=False):
+        p = commands[name] = sub.add_parser(name, help=help)
+        if files:
+            p.add_argument("panel")
+            p.add_argument("factors")
+        return p
 
     def add_common(p, knots=True):
         if knots:
@@ -117,9 +126,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default="-", help="output file (default stdout)")
         p.add_argument("--config", default=None, help="flat key=value config file; flags win")
 
-    p_test = sub.add_parser("test", help="run the six alpha tests on a panel")
-    p_test.add_argument("panel")
-    p_test.add_argument("factors")
+    p_test = add_command("test", "run the six alpha tests on a panel", files=True)
     p_test.add_argument("--tests", default=",".join(TEST_NAMES), help="comma list of tests to report")
     p_test.add_argument("--level", type=_parse_level, default=0.05, help="rejection level for the reject column")
     add_common(p_test)
@@ -138,38 +145,37 @@ def _build_parser() -> _Parser:
         add_workers(p)
         add_common(p)
 
-    add_cell(sub.add_parser("simulate-size", help="null rejection rates for one cell"))
+    add_cell(add_command("simulate-size", "null rejection rates for one cell"))
 
-    p_pow = sub.add_parser("simulate-power", help="rejection rates along a strength grid")
+    p_pow = add_command("simulate-power", "rejection rates along a strength grid")
     p_pow.add_argument("--sparsity", type=int, default=2)
     p_pow.add_argument("--strength-grid", default="2,4,6,8,10,12,14,16,18,20")
     p_pow.add_argument("--alpha-mode", default="constant", choices=("constant", "over_T"))
     add_cell(p_pow)
 
-    p_roll = sub.add_parser("rolling", help="rolling-window p-values")
-    p_roll.add_argument("panel")
-    p_roll.add_argument("factors")
+    p_roll = add_command("rolling", "rolling-window p-values", files=True)
     p_roll.add_argument("--window", type=int, required=True)
     p_roll.add_argument("--tests", default=",".join(TEST_NAMES))
     add_workers(p_roll)
     add_common(p_roll)
 
-    p_knots = sub.add_parser("knots", help="information-criterion table for knot counts")
-    p_knots.add_argument("panel")
-    p_knots.add_argument("factors")
+    p_knots = add_command("knots", "information-criterion table for knot counts", files=True)
     p_knots.add_argument("--candidates", default=None, help="comma list of knot counts")
     add_common(p_knots, knots=False)
 
-    return parser
+    return parser, commands
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _set_config_defaults(sub: _Parser, command: str, path: str) -> None:
+    """Install the key=value lines of the config file at path as the
+    command's defaults, typed and checked as its flags are."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from exc
-    out = {}
+    dests = {a.dest: a for a in sub._actions}
+    defaults = {}
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -177,27 +183,7 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise _UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _apply_config_file(parser: _Parser, argv: list[str]):
-    """Pre-scan for --config and install its values as subparser defaults."""
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise _UsageError("--config requires a file argument")
-    path = argv[idx + 1]
-    values = _load_config_file(path)
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    command = next((a for a in argv if not a.startswith("-")), None)
-    if command is None or not sub_actions or command not in sub_actions[0].choices:
-        return
-    sub = sub_actions[0].choices[command]
-    dests = {a.dest: a for a in sub._actions}
-    defaults = {}
-    for key, value in values.items():
+        key, value = key.strip().replace("-", "_"), value.strip()
         if key not in dests:
             raise _UsageError(f"config file key {key!r} is not a {command} option")
         action = dests[key]
@@ -213,13 +199,32 @@ def _apply_config_file(parser: _Parser, argv: list[str]):
     sub.set_defaults(**defaults)
 
 
-def _cmd_test(args) -> int:
-    panel = panels.read_panel(args.panel)
-    factors = panels.read_factors(args.factors)
-    results = run_all_tests(
-        panel.values, factors.values, knots=_parse_knots(args.knots), order=args.order
+def _read_pair(args, *workers):
+    """The values of a file command's panel and factor files, read on
+    `workers` processes if given, else one per core."""
+    return (
+        panels.read_panel(args.panel, *workers).values,
+        panels.read_factors(args.factors, *workers).values,
     )
+
+
+def _file_provenance(args, **items) -> str:
+    """The provenance line of a command that reads a panel/factor file pair."""
+    return panels.provenance_line(
+        {
+            "command": args.command,
+            "panel": args.panel,
+            "factors": args.factors,
+            "order": args.order,
+            **items,
+        }
+    )
+
+
+def _cmd_test(args) -> int:
+    panel, factors = _read_pair(args)
     wanted = _parse_tests(args.tests)
+    results = run_all_tests(panel, factors, knots=_parse_knots(args.knots), order=args.order)
     rows = [
         [
             r.name,
@@ -231,17 +236,7 @@ def _cmd_test(args) -> int:
         for r in results
         if r.name in wanted
     ]
-    prov = panels.provenance_line(
-        {
-            "command": "test",
-            "panel": args.panel,
-            "factors": args.factors,
-            "knots": args.knots,
-            "order": args.order,
-            "tests": ",".join(wanted),
-            "level": args.level,
-        }
-    )
+    prov = _file_provenance(args, knots=args.knots, tests=",".join(wanted), level=args.level)
     header = ["test", "statistic", "p_value", "reference", "reject"]
     panels.write_table(args.out, header, rows, [prov])
     return 0
@@ -310,60 +305,41 @@ def _cmd_simulate_power(args) -> int:
 
 
 def _cmd_rolling(args) -> int:
-    panel = panels.read_panel(args.panel, workers=args.workers)
-    factors = panels.read_factors(args.factors, workers=args.workers)
+    panel, factors = _read_pair(args, args.workers)
+    wanted = _parse_tests(args.tests)
     rolling = rolling_windows(
-        panel.values,
-        factors.values,
+        panel,
+        factors,
         window=args.window,
-        tests=_parse_tests(args.tests),
         knots=_parse_knots(args.knots),
         order=args.order,
         workers=args.workers,
     )
-    prov = panels.provenance_line(
-        {
-            "command": "rolling",
-            "panel": args.panel,
-            "factors": args.factors,
-            "window": args.window,
-            "knots": args.knots,
-            "order": args.order,
-            "tests": ",".join(rolling.tests),
-        }
-    )
+    columns = [rolling.tests.index(t) for t in wanted]
     rows = [
-        [int(start)] + [panels.format_float(p) for p in row]
+        [int(start)] + [panels.format_float(row[j]) for j in columns]
         for start, row in zip(rolling.window_starts, rolling.p_values)
     ]
-    panels.write_table(args.out, ["window", *rolling.tests], rows, [prov])
+    prov = _file_provenance(args, window=args.window, knots=args.knots, tests=",".join(wanted))
+    panels.write_table(args.out, ["window", *wanted], rows, [prov])
     summary = [
         [panels.format_float(level)]
-        + [panels.format_float(rolling.rejection_ratios[level][t]) for t in rolling.tests]
+        + [panels.format_float(rolling.rejection_ratios[level][t]) for t in wanted]
         for level in sorted(rolling.rejection_ratios)
     ]
     # under --out - the summary keeps stdout a single table
     panels.write_table(
-        sys.stderr if args.out == "-" else sys.stdout, ["level", *rolling.tests], summary
+        sys.stderr if args.out == "-" else sys.stdout, ["level", *wanted], summary
     )
     return 0
 
 
 def _cmd_knots(args) -> int:
-    panel = panels.read_panel(args.panel)
-    factors = panels.read_factors(args.factors)
+    panel, factors = _read_pair(args)
     candidates = _parse_candidates(args.candidates) if args.candidates else None
-    search = basis._knot_search(panel.values, factors.values, candidates, args.order)[0]
+    search = basis._knot_search(panel, factors, candidates, args.order)[0]
     best = search.design().config.interior_knots
-    prov = panels.provenance_line(
-        {
-            "command": "knots",
-            "panel": args.panel,
-            "factors": args.factors,
-            "order": args.order,
-            "candidates": ",".join(str(n) for n in search.table),
-        }
-    )
+    prov = _file_provenance(args, candidates=",".join(str(n) for n in search.table))
     rows = [
         [
             n,
@@ -388,13 +364,17 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return USAGE_EXIT
+        if args.config is not None:
+            # the file's values become the command's defaults, and a second
+            # parse lets the flags given win over them
+            _set_config_defaults(commands[args.command], args.command, args.config)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"alphasign: usage error: {exc}", file=sys.stderr)

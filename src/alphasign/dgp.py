@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blas import one_blas_thread
-from .errors import ContractError
+from .errors import ContractError, _check_count
 
 BURN_IN = 50
 ERROR_AR_RHO = 0.5
@@ -124,8 +124,9 @@ class ErrorScenario:
 class AlphaSpec:
     """Sparse intercept signal.
 
-    sparsity assets are picked uniformly without replacement; each gets an
-    intercept drawn uniformly from (0, strength * sqrt(log N / (T * s))).
+    sparsity (an integer >= 0) assets are picked uniformly without
+    replacement; each gets an intercept drawn uniformly from
+    (0, strength * sqrt(log N / (T * s))).
     mode "constant" keeps that level at every t; mode "over_T" divides it
     by T.
     """
@@ -135,8 +136,7 @@ class AlphaSpec:
     mode: str = "constant"
 
     def __post_init__(self):
-        if self.sparsity < 0:
-            raise ContractError("sparsity must be >= 0")
+        _check_count("sparsity", self.sparsity, 0)
         if not math.isfinite(self.strength) or self.strength < 0.0:
             raise ContractError(f"strength must be finite and >= 0, got {self.strength}")
         if self.mode not in ("constant", "over_T"):

@@ -15,6 +15,12 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ContractError unless value is an integer (`_is_count`) >= least."""
+    if not (_is_count(value) and value >= least):
+        raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class AlphaSignError(Exception):
     """Base class for all package-specific errors."""
 

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .basis import _check_knots, _knot_search, _panel_and_factors, select_knots_bic
 from .blas import one_blas_thread
 from .dgp import AlphaSpec, ErrorScenario, simulate_panel
-from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError, _is_count
+from .errors import NUMERICAL_ERRORS, AlphaSignError, ContractError, _check_count, _is_count
 from .pool import _map_in_order, _worker_count
 from .stat_tests import TEST_NAMES, TestResult, run_all_tests
 
@@ -38,7 +38,8 @@ class ExperimentConfig:
 
     knots: a fixed non-negative interior-knot count, or "auto"
     (information-criterion selection on replication 0, reused for the
-    whole cell).
+    whole cell). reps must be an integer >= 1 and seed one >= 0, else
+    ContractError.
     """
 
     example: int
@@ -53,8 +54,8 @@ class ExperimentConfig:
     order: int = 3
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ContractError("reps must be >= 1")
+        _check_count("reps", self.reps, 1)
+        _check_count("seed", self.seed, 0)
         if not 0.0 < self.gamma < 1.0:
             raise ContractError("gamma must lie in (0, 1)")
         object.__setattr__(self, "knots", _check_knots(self.knots))
@@ -80,9 +81,10 @@ class ExperimentReport:
 
 
 def replication_rng(seed: int, rep_index: int) -> np.random.Generator:
-    """Independent generator for one replication of a seeded experiment."""
-    if rep_index < 0:
-        raise ContractError("rep_index must be >= 0")
+    """Independent generator for one replication of a seeded experiment;
+    seed and rep_index are integers >= 0, else ContractError."""
+    _check_count("seed", seed, 0)
+    _check_count("rep_index", rep_index, 0)
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(rep_index,))
     )
@@ -172,7 +174,8 @@ class RollingResult:
     """Rolling-window p-values and rejection ratios.
 
     p_values has one row per window in the order of window_starts
-    (1-based start index) and one column per requested test.
+    (1-based start index) and one column per test; tests is always
+    TEST_NAMES, the columns' order.
     """
 
     window_starts: np.ndarray
@@ -210,11 +213,11 @@ def _window_block_pvalues(args) -> np.ndarray:
     With knots "auto", the designs of each chunk of _KNOT_CHUNK windows
     are chosen by one stacked search, and the chunk's batteries start from
     them before the next chunk is searched."""
-    Y, F, first, window, tests, knots, order = args
+    Y, F, first, window, knots, order = args
     Ys = sliding_window_view(Y, window, axis=0).transpose(0, 2, 1)
     Fs = sliding_window_view(F, window, axis=0).transpose(0, 2, 1)
     n_windows = Ys.shape[0]
-    out = np.empty((n_windows, len(tests)))
+    out = np.empty((n_windows, len(TEST_NAMES)))
     for c in range(0, n_windows, _KNOT_CHUNK):
         stop = min(c + _KNOT_CHUNK, n_windows)
         if knots == "auto":
@@ -227,8 +230,7 @@ def _window_block_pvalues(args) -> np.ndarray:
             except (AlphaSignError, np.linalg.LinAlgError) as exc:
                 w = first + k
                 raise type(exc)(f"window {w} (rows {w}-{w + window - 1}): {exc}") from exc
-            by_name = {r.name: r.p_value for r in results}
-            out[k] = [by_name[t] for t in tests]
+            out[k] = [r.p_value for r in results]
     return out
 
 
@@ -236,7 +238,6 @@ def rolling_windows(
     panel,
     factors,
     window: int,
-    tests: tuple[str, ...] = TEST_NAMES,
     knots: int | str = "auto",
     order: int = 3,
     workers: int | None = None,
@@ -245,7 +246,8 @@ def rolling_windows(
 
     A panel with T rows yields T - window + 1 windows, each treated as a
     standalone sample (the sieve grid and any knot selection are local to
-    the window). Rejection ratios report, per test and each level in
+    the window). Every window gets all six tests, in TEST_NAMES order.
+    Rejection ratios report, per test and each level in
     ROLLING_LEVELS, the share of windows whose p-value falls below it.
 
     The windows run in about 4 * workers contiguous blocks of rows, on
@@ -266,9 +268,6 @@ def rolling_windows(
         raise ContractError(f"window must be an integer, got {window!r}")
     if not 2 <= window <= T:
         raise ContractError(f"window must lie in [2, T={T}], got {window}")
-    unknown = set(tests) - set(TEST_NAMES)
-    if unknown:
-        raise ContractError(f"unknown test names: {sorted(unknown)}")
     workers = _worker_count(workers)
     knots = _check_knots(knots)
     n_windows = T - window + 1
@@ -277,12 +276,12 @@ def rolling_windows(
     jobs = []
     for block in np.array_split(np.arange(n_windows), n_blocks):
         rows = slice(int(block[0]), int(block[-1]) + window)
-        jobs.append((Y[rows], F[rows], rows.start + 1, window, tuple(tests), knots, order))
+        jobs.append((Y[rows], F[rows], rows.start + 1, window, knots, order))
     pvals = np.concatenate(_map_in_order(_window_block_pvalues, jobs, workers))
     ratios = {
         level: {
-            t: float(np.mean(pvals[:, j] < level)) for j, t in enumerate(tests)
+            t: float(np.mean(pvals[:, j] < level)) for j, t in enumerate(TEST_NAMES)
         }
         for level in ROLLING_LEVELS
     }
-    return RollingResult(starts, tuple(tests), pvals, ratios)
+    return RollingResult(starts, TEST_NAMES, pvals, ratios)

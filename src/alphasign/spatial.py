@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateScaleError, DegenerateStatisticError, _is_count
+from .errors import ContractError, DegenerateScaleError, DegenerateStatisticError, _check_count
 
 SCALE_FLOOR = 1e-12
 
@@ -46,6 +46,9 @@ SCALE_FLOOR = 1e-12
 # are recomputed from their coordinates; every expanded r^2 kept is then
 # good to a few times 1e-12, relative.
 NEAR_ROW_SHARE = 1e-4
+
+# The default tolerance of `spatial_median_scale`, the one the battery runs at.
+TOL = 1e-8
 
 
 def _inverse_norms(norms: np.ndarray) -> np.ndarray:
@@ -75,7 +78,7 @@ class SpatialLocation:
 
 
 def spatial_median_scale(
-    residuals, tol: float = 1e-8, max_iter: int = 200
+    residuals, tol: float = TOL, max_iter: int = 200
 ) -> SpatialLocation:
     """Solve the joint spatial-median / diagonal-scale estimating equations.
 
@@ -107,8 +110,7 @@ def spatial_median_scale(
         isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0
     ):
         raise ContractError(f"tol must be a finite number > 0, got {tol!r}")
-    if not (_is_count(max_iter) and max_iter >= 0):
-        raise ContractError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    _check_count("max_iter", max_iter, 0)
     E = np.asarray(residuals, dtype=float)
     if E.ndim != 2:
         raise ContractError(f"residuals must be T x N, got ndim={E.ndim}")

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .pool import _both
 from .spatial import (
+    TOL,
     MomentEstimates,
     SpatialLocation,
     _inverse_norms,
@@ -152,6 +153,13 @@ def gumbel_critical_value(gamma: float) -> float:
     return -math.log(math.pi) - 2.0 * math.log(math.log(1.0 / (1.0 - gamma)))
 
 
+def _gumbel_test(name: str, peak: float, N: int) -> TestResult:
+    """The max-type test whose statistic is peak, the largest of N
+    standardized squares, recentred by 2 log N - log log N."""
+    stat = peak - 2.0 * math.log(N) + math.log(math.log(N))
+    return TestResult(name, stat, gumbel_p_value(stat), REFERENCES[name])
+
+
 def csm_test(
     loc: SpatialLocation, moments: MomentEstimates, T: int, N: int
 ) -> TestResult:
@@ -165,12 +173,7 @@ def csm_test(
     if len(loc.theta) != N:
         raise ContractError("location estimate does not match N")
     standardized_sq = loc.theta**2 / loc.scale_diag
-    stat = (
-        T * float(np.max(standardized_sq)) * moments.zeta_hat
-        - 2.0 * math.log(N)
-        + math.log(math.log(N))
-    )
-    return TestResult("CSM", stat, gumbel_p_value(stat), REFERENCES["CSM"])
+    return _gumbel_test("CSM", T * float(np.max(standardized_sq)) * moments.zeta_hat, N)
 
 
 def trace_sigma_u_sq(gram_tilde, h) -> float:
@@ -356,8 +359,7 @@ def mnt_test(residuals, p_effective: int) -> TestResult:
         )
     col_sums = E.sum(axis=0)
     per_asset = col_sums**2 / (T * sigma_diag)
-    stat = float(np.max(per_asset)) - 2.0 * math.log(N) + math.log(math.log(N))
-    return TestResult("MNT", stat, gumbel_p_value(stat), REFERENCES["MNT"])
+    return _gumbel_test("MNT", float(np.max(per_asset)), N)
 
 
 def cauchy_combine(p_values, truncated: bool) -> float:
@@ -385,13 +387,13 @@ def cauchy_combine(p_values, truncated: bool) -> float:
     return 0.5 - math.atan(stat) / math.pi
 
 
-def _converged(loc: SpatialLocation, tol: float) -> SpatialLocation:
-    """loc, if its iteration reached the tolerance; else ConvergenceError,
-    so that no p-value comes from an unconverged estimate."""
+def _converged(loc: SpatialLocation) -> SpatialLocation:
+    """loc, if its iteration reached the default tolerance; else
+    ConvergenceError, so that no p-value comes from an unconverged estimate."""
     if not loc.converged:
         raise ConvergenceError(
             f"not converged after max_iter={loc.iterations} rounds: "
-            f"estimating-equation residual {loc.eq_residual:.3g} > tol {tol:g}"
+            f"estimating-equation residual {loc.eq_residual:.3g} > tol {TOL:g}"
         )
     return loc
 
@@ -402,8 +404,6 @@ def run_all_tests(
     factors,
     knots: int | str = "auto",
     order: int = 3,
-    tol: float = 1e-8,
-    max_iter: int = 200,
     *,
     _chosen: _KnotSearch | None = None,
 ) -> list[TestResult]:
@@ -416,8 +416,9 @@ def run_all_tests(
     candidates; anything else raises ContractError. With "auto" the knot
     search builds the chosen count's design with `build_design`, so the
     design, the fit and every result equal those at that count. MNT's
-    residual dof uses the factor count p. A spatial median that has not
-    converged within max_iter rounds raises ConvergenceError. Errors from
+    residual dof uses the factor count p. The spatial median runs at the
+    defaults of `spatial_median_scale`; one that has not converged within
+    them raises ConvergenceError. Errors from
     any stage are re-raised with the stage name prefixed. OpenBLAS runs
     at one thread for the call (see `alphasign.blas`).
 
@@ -460,7 +461,7 @@ def run_all_tests(
         lambda: np.matmul(residuals_tilde, residuals_tilde.T, out=gram),
         lambda: _stage(
             "spatial-median",
-            lambda: _converged(spatial_median_scale(residuals, tol=tol, max_iter=max_iter), tol),
+            lambda: _converged(spatial_median_scale(residuals)),
         ),
         Y.size,
     )

@@ -218,6 +218,8 @@ def test_alpha_spec_bounds():
     assert AlphaSpec().upper_bound(400, 350) == 0.0
     with pytest.raises(ContractError):
         AlphaSpec(sparsity=-1)
+    with pytest.raises(ContractError, match="^sparsity must be an integer >= 0, got 1.5$"):
+        AlphaSpec(sparsity=1.5)
     with pytest.raises(ContractError):
         AlphaSpec(strength=-2.0)
     with pytest.raises(ContractError):

@@ -55,6 +55,10 @@ def test_experiment_config_validation():
         _tiny_config(knots="automatic")
     with pytest.raises(ContractError):
         _tiny_config(knots=-1)
+    # counts and seeds are refused when the cell is built, not inside numpy
+    for field, bad in (("seed", -1), ("seed", 1.5), ("reps", 2.5)):
+        with pytest.raises(ContractError, match=f"^{field} must be an integer >= [01], got {bad}$"):
+            _tiny_config(**{field: bad})
 
 
 @pytest.mark.parametrize("bad", ["Auto", "automatic", "3", 2.7, 2.0, True, -1, None])
@@ -90,6 +94,9 @@ def test_replication_rng_streams():
     assert not np.array_equal(a, d)
     with pytest.raises(ContractError):
         replication_rng(123, -1)
+    for seed in (-1, 1.5):
+        with pytest.raises(ContractError, match=f"^seed must be an integer >= 0, got {seed}$"):
+            replication_rng(seed, 0)
 
 
 def _bad_workers_message(workers) -> str:
@@ -475,8 +482,6 @@ def test_rolling_window_guards():
     with pytest.raises(ContractError):
         rolling_windows(sim.panel, sim.factors, window=1, knots=1)
     with pytest.raises(ContractError):
-        rolling_windows(sim.panel, sim.factors, window=20, tests=("CSS", "NOPE"), knots=1)
-    with pytest.raises(ContractError):
         rolling_windows(sim.panel[:20], sim.factors, window=10, knots=1)
     # a non-finite panel is refused on entry, not inside the first window's fit
     broken = sim.panel.copy()
@@ -507,8 +512,9 @@ def test_rolling_windows_with_periodic_panel_repeat():
     block_f = rng.standard_normal((10, 1))
     Y = np.tile(block_y, (3, 1))
     F = np.tile(block_f, (3, 1))
-    rolling = rolling_windows(Y, F, window=20, knots=1, tests=("CSS", "CSM"))
-    assert rolling.p_values.shape == (11, 2)
+    rolling = rolling_windows(Y, F, window=20, knots=1)
+    assert rolling.tests == TEST_NAMES
+    assert rolling.p_values.shape == (11, len(TEST_NAMES))
     assert np.allclose(rolling.p_values[0], rolling.p_values[10], atol=1e-12)
 
 

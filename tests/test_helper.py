@@ -2,6 +2,7 @@
 threads give every bit the one-thread battery gives, raise its errors,
 survive a fork and stay out of the jobs of the worker pool."""
 
+import functools
 import math
 import os
 import sys
@@ -11,11 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from alphasign import basis, pool
+from alphasign import basis, pool, stat_tests
 from alphasign.basis import SplineConfig, _halves, _knot_search, default_knot_candidates
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign.errors import AlphaSignError, ConvergenceError
 from alphasign.harness import ExperimentConfig, rolling_windows, run_experiment
+from alphasign.spatial import spatial_median_scale
 from alphasign.stat_tests import run_all_tests
 from conftest import exit_code
 
@@ -189,10 +191,15 @@ def test_batteries_on_several_threads_share_one_helper(small_sim, monkeypatch):
     assert results == [expected] * 20
 
 
-def test_an_unconverged_spatial_median_still_raises_from_its_stage(large_panel, helper_calls):
+def test_an_unconverged_spatial_median_still_raises_from_its_stage(
+    large_panel, helper_calls, monkeypatch
+):
     Y, F = large_panel
+    monkeypatch.setattr(
+        stat_tests, "spatial_median_scale", functools.partial(spatial_median_scale, max_iter=1)
+    )
     with pytest.raises(ConvergenceError, match="^spatial-median: not converged after max_iter=1"):
-        run_all_tests(Y, F, knots=2, max_iter=1)
+        run_all_tests(Y, F, knots=2)
     assert helper_calls == ["MainThread"]  # the gram was formed beside it
 
 

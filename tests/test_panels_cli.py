@@ -702,6 +702,7 @@ def test_cli_caller_errors_are_not_numerical_failures(cli_files, capsys):
         (["--N", "2"], "MNT: max-type calibration needs N >= 3"),
         (["--order", "0"], "design: spline order must be >= 1"),
         (["--T", "5"], "design: need T >= (1+p)L + 1"),
+        (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
     ):
         base = ["simulate-size", "--N", "10", "--T", "70", "--reps", "2", "--knots", "1", "--workers", "1"]
         assert main(base + argv) == 2, argv
@@ -899,33 +900,35 @@ def test_cli_config_file_defaults_and_flag_priority(cli_files, capsys):
     cfg = str(root / "run.cfg")
     with open(cfg, "w") as fh:
         fh.write("# comment\nknots=2\nlevel=0.5\n")
-    from_cfg = str(root / "from_cfg.csv")
-    assert main(["test", cli_files["panel"], cli_files["factors"], "--config", cfg, "--out", from_cfg]) == 0
-    explicit = str(root / "explicit.csv")
-    assert main(["test", cli_files["panel"], cli_files["factors"], "--knots", "2", "--level", "0.5", "--out", explicit]) == 0
-    assert _read_result_rows(from_cfg) == _read_result_rows(explicit)
-
-    # explicit flags win over config values
-    override = str(root / "override.csv")
-    assert main(["test", cli_files["panel"], cli_files["factors"], "--config", cfg, "--knots", "1", "--out", override]) == 0
-    knots1 = str(root / "knots1.csv")
-    assert main(["test", cli_files["panel"], cli_files["factors"], "--knots", "1", "--level", "0.5", "--out", knots1]) == 0
-    assert _read_result_rows(override) == _read_result_rows(knots1)
-    assert _read_result_rows(override) != _read_result_rows(explicit)
-
     bad = str(root / "bad.cfg")
     with open(bad, "w") as fh:
         fh.write("nonsense_key=3\n")
-    assert main(["test", cli_files["panel"], cli_files["factors"], "--config", bad]) == 1
+    # the file is named as a separate argument or after an equals sign
+    for config in (lambda path: ["--config", path], lambda path: [f"--config={path}"]):
+        from_cfg = str(root / "from_cfg.csv")
+        assert main(["test", cli_files["panel"], cli_files["factors"], *config(cfg), "--out", from_cfg]) == 0
+        explicit = str(root / "explicit.csv")
+        assert main(["test", cli_files["panel"], cli_files["factors"], "--knots", "2", "--level", "0.5", "--out", explicit]) == 0
+        assert _read_result_rows(from_cfg) == _read_result_rows(explicit)
 
-    # values that do not parse, or fall outside an option's choices, are usage errors
-    for line, key in (("N=abc", "'N'"), ("example=7", "'example'")):
-        mistyped = str(root / "mistyped.cfg")
-        with open(mistyped, "w") as fh:
-            fh.write(line + "\n")
-        assert main(["simulate-size", "--config", mistyped]) == 1, line
-        err = capsys.readouterr().err
-        assert mistyped in err and key in err
+        # explicit flags win over config values
+        override = str(root / "override.csv")
+        assert main(["test", cli_files["panel"], cli_files["factors"], *config(cfg), "--knots", "1", "--out", override]) == 0
+        knots1 = str(root / "knots1.csv")
+        assert main(["test", cli_files["panel"], cli_files["factors"], "--knots", "1", "--level", "0.5", "--out", knots1]) == 0
+        assert _read_result_rows(override) == _read_result_rows(knots1)
+        assert _read_result_rows(override) != _read_result_rows(explicit)
+
+        assert main(["test", cli_files["panel"], cli_files["factors"], *config(bad)]) == 1
+
+        # values that do not parse, or fall outside an option's choices, are usage errors
+        for line, key in (("N=abc", "'N'"), ("example=7", "'example'")):
+            mistyped = str(root / "mistyped.cfg")
+            with open(mistyped, "w") as fh:
+                fh.write(line + "\n")
+            assert main(["simulate-size", *config(mistyped)]) == 1, line
+            err = capsys.readouterr().err
+            assert mistyped in err and key in err
 
 
 def test_cli_level_must_lie_strictly_inside_zero_one(cli_files, capsys):
@@ -1037,6 +1040,8 @@ def test_cli_rolling_tests_are_columns_of_the_full_table(cli_files, capsys):
     assert picked[0] == ["window", "CSS", "CSM"]
     cols = [full[0].index(name) for name in picked[0]]
     assert picked == [[row[j] for j in cols] for row in full]
+    assert main(argv + ["--tests", "CSS,NOPE"]) == 1
+    assert "unknown test names: ['NOPE']" in capsys.readouterr().err
 
 
 def test_cli_simulate_writes_the_knots_each_cell_ran_at(capsys):

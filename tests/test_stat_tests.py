@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import orth
 
-from alphasign import cli, panels
+from alphasign import cli, panels, stat_tests
 from alphasign.basis import FitResult, SplineConfig, build_design, fit_panel, select_knots_bic
 from alphasign.dgp import AlphaSpec, ErrorScenario, simulate_panel
 from alphasign import harness
@@ -24,7 +24,7 @@ from alphasign.errors import (
     DegenerateScaleError,
     DegenerateStatisticError,
 )
-from alphasign.spatial import MomentEstimates, SpatialLocation
+from alphasign.spatial import MomentEstimates, SpatialLocation, spatial_median_scale
 from alphasign.stat_tests import (
     REFERENCES,
     TEST_NAMES,
@@ -440,10 +440,6 @@ def test_run_all_tests_auto_knots_and_stage_errors(small_sim):
         run_all_tests(np.zeros_like(small_sim.panel), small_sim.factors, knots=2)
     with pytest.raises(ContractError):
         run_all_tests(small_sim.panel[:100], small_sim.factors, knots=2)
-    # a nan tolerance is refused under its stage, not run for every round
-    # into an estimate marked unconverged
-    with pytest.raises(ContractError, match="^spatial-median: tol must be a finite number > 0"):
-        run_all_tests(small_sim.panel, small_sim.factors, knots=2, tol=np.nan)
 
 
 @pytest.mark.parametrize("knots", ["auto", 2])
@@ -470,21 +466,21 @@ def test_a_battery_scans_its_panel_for_non_finite_values_once(small_sim, knots, 
 def test_an_unconverged_spatial_median_fails_its_stage(small_sim, tmp_path, monkeypatch, capsys):
     # one round leaves the estimating equations unsolved: the battery
     # raises rather than return p-values from that estimate
+    monkeypatch.setattr(
+        stat_tests, "spatial_median_scale", functools.partial(spatial_median_scale, max_iter=1)
+    )
     with pytest.raises(
         ConvergenceError,
         match=r"^spatial-median: not converged after max_iter=1 rounds: .* > tol 1e-08$",
     ) as info:
-        run_all_tests(small_sim.panel, small_sim.factors, knots=2, max_iter=1)
+        run_all_tests(small_sim.panel, small_sim.factors, knots=2)
     assert isinstance(info.value, NUMERICAL_ERRORS)
-    one_round = functools.partial(run_all_tests, max_iter=1)
     # a Monte Carlo replication counts it as a failure
-    monkeypatch.setattr(harness, "run_all_tests", one_round)
     config = harness.ExperimentConfig(
         example=1, scenario=ErrorScenario("normal"), N=10, T=70, reps=1, seed=0, knots=1
     )
     assert harness._replication_pvalues((config, 0)) is None
     # and the CLI exits with the numerical code
-    monkeypatch.setattr(cli, "run_all_tests", one_round)
     paths = [str(tmp_path / name) for name in ("panel.csv", "factors.csv")]
     panels.write_panel(paths[0], small_sim.panel, [f"A{i}" for i in range(small_sim.panel.shape[1])])
     panels.write_panel(paths[1], small_sim.factors, ["MKT"])
